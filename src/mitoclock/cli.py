@@ -23,40 +23,21 @@ from .errors import MitoclockError, ValidationError
 from .fitter import fit_imt, mass_check
 from .growth import GrowthSeries, fit_growth, load_growth_csv
 from .histogram import load_histogram, normalize, reweight
-from .imt_models import ClosedFormRate, Model, model_from_dict, reweighted_density
+from .imt_models import FAMILIES, ClosedFormRate, Model, model_from_dict, reweighted_density
 from .inversion import best_erfc_fit, invert_imt, write_rate_csv
-
-
-def _load_xy_csv(path):
-    """Two-column numeric CSV with optional header and '#' comments."""
-    xs, ys = [], []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"expected two columns in {path}: {line!r}")
-            try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-            except ValueError:
-                if xs:
-                    raise ValidationError(f"bad row in {path}: {line!r}") from None
-                continue  # header
-    if not xs:
-        raise ValidationError(f"no data rows in {path}")
-    return np.array(xs), np.array(ys)
+from .io import read_columns, write_columns
 
 
 def _read_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path} does not contain a model object")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValidationError(f"{path} is not a JSON file: {exc}") from None
     # accept both a bare model object and a full fit-result file
-    return model_from_dict(payload.get("model", payload))
+    if isinstance(payload, dict):
+        payload = payload.get("model", payload)
+    return model_from_dict(payload)
 
 
 def _prefix(args, default_source) -> Path:
@@ -83,10 +64,8 @@ def cmd_fit_growth(args) -> int:
     }
     prefix.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     log_ratio = np.log(series.counts / series.counts[0])
-    with open(f"{prefix}_line.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,log_ratio,fit\n")
-        for t, y in zip(series.times, log_ratio):
-            fh.write(f"{float(t)!r},{float(y)!r},{float(fit.intercept + fit.lam * t)!r}\n")
+    line = fit.intercept + fit.lam * series.times
+    write_columns(f"{prefix}_line.csv", ("t", "log_ratio", "fit"), (series.times, log_ratio, line))
     print(
         f"lambda={fit.lam:.6g} 1/h  R2={fit.r_squared:.5f}  "
         f"doubling={'-' if fit.doubling_time is None else f'{fit.doubling_time:.4g} h'}"
@@ -103,17 +82,15 @@ def cmd_fit_imt(args) -> int:
     prefix.with_suffix(".json").write_text(result.to_json() + "\n")
     Path(f"{prefix}_model.json").write_text(result.model.to_json() + "\n")
     fitted = reweighted_density(result.model, args.lam, reweighted.midpoints)
-    with open(f"{prefix}_curve.csv", "w", encoding="utf-8") as fh:
-        fh.write("age,height,fit\n")
-        for a, hgt, f in zip(reweighted.midpoints, reweighted.heights, fitted):
-            fh.write(f"{float(a)!r},{float(hgt)!r},{float(f)!r}\n")
+    columns = (reweighted.midpoints, reweighted.heights, fitted)
+    write_columns(f"{prefix}_curve.csv", ("age", "height", "fit"), columns)
     status = "mass-ok" if check.ok else f"mass-warn(dev={check.deviation:.3f})"
     print(result.summary_line() + f"  {status}")
     return 0
 
 
 def cmd_invert(args) -> int:
-    ages, values = _load_xy_csv(args.imt_csv)
+    ages, values = read_columns(args.imt_csv, 2)
     rate = invert_imt(ages, values)
     prefix = _prefix(args, args.imt_csv)
     write_rate_csv(rate, f"{prefix}_beta.csv")
@@ -274,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hist_csv")
     p.add_argument("--dt", type=float, required=True, help="bin width in hours")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="growth rate in 1/h")
-    p.add_argument("--family", required=True, choices=["gamma1", "gamma2", "emg", "erfc", "erfc-mu"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--seed", type=int, default=None, help="multi-start seed (default: env)")
     p.add_argument("--out-prefix")
     p.set_defaults(func=cmd_fit_imt)

@@ -18,23 +18,22 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
-from .errors import BoundaryWarning, FitConvergenceError, StateError, ValidationError
+from .errors import (
+    BoundaryWarning,
+    DegenerateInputError,
+    FitConvergenceError,
+    StateError,
+    ValidationError,
+)
 from .histogram import Histogram, Kind
-from .imt_models import FAMILIES, Model, reweighted_density
+from .imt_models import FAMILIES, PARAMS, Model, reweighted_density, reweighted_mass
 
 SEED_ENV_VAR = "MITOCLOCK_SEED"
 DEFAULT_N_STARTS = 8
 
-# parameter order per family; bounds keep every candidate evaluable
-_PARAM_NAMES = {
-    "gamma1": ("m", "sigma"),
-    "gamma2": ("m", "sigma"),
-    "emg": ("beta0", "m", "sigma"),
-    "erfc": ("beta0", "m", "sigma"),
-    "erfc-mu": ("beta0", "m", "sigma", "mu"),
-}
+# bounds keep every candidate evaluable
 _LOWER = {"beta0": 1e-6, "m": 0.0, "sigma": 1e-3, "mu": 0.0}
 
 
@@ -85,8 +84,7 @@ def mass_check(result: FitResult, tolerance: float = 0.12) -> MassCheck:
 
 
 def _model_from_theta(family: str, theta) -> Model:
-    kwargs = dict(zip(_PARAM_NAMES[family], (float(v) for v in theta)))
-    return Model(family=family, **kwargs)
+    return Model(family=family, **dict(zip(PARAMS[family], map(float, theta))))
 
 
 def _default_init(family: str, h: Histogram) -> np.ndarray:
@@ -100,7 +98,7 @@ def _default_init(family: str, h: Histogram) -> np.ndarray:
     sigma0 = max(0.5 * math.sqrt(max(var, 0.0)), 2.0 * _LOWER["sigma"])
     beta0 = max(0.5 * peak, 1e-3)
     init = {"m": m0, "sigma": sigma0, "beta0": beta0, "mu": 1e-3}
-    return np.array([init[name] for name in _PARAM_NAMES[family]])
+    return np.array([init[name] for name in PARAMS[family]])
 
 
 def _spread_starts(x0: np.ndarray, names, n_starts: int, rng) -> list[np.ndarray]:
@@ -131,10 +129,12 @@ def fit_imt(
         raise ValidationError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if h.kind is not Kind.REWEIGHTED:
         raise StateError("fit_imt expects a reweighted histogram; call reweight() first")
+    if not h.heights.any():
+        raise DegenerateInputError("histogram has no mass; there is nothing to fit")
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     lam = h.lambda_used
-    names = _PARAM_NAMES[family]
+    names = PARAMS[family]
     mids = h.midpoints
     heights = h.heights
     n_eval = 0
@@ -198,7 +198,7 @@ def fit_imt(
     result = FitResult(
         model=model,
         r_squared=r_squared,
-        integral_i_tilde=_integral_i_tilde(model, lam),
+        integral_i_tilde=reweighted_mass(model, lam),
         lambda_used=lam,
         residuals=residuals,
         n_evaluations=n_eval,
@@ -220,14 +220,3 @@ def fit_imt(
         )
     return result
 
-
-def _integral_i_tilde(model: Model, lam: float) -> float:
-    """Total mass of the fitted reweighted curve, by adaptive quadrature."""
-    a_max = model.m + 40.0 * model.sigma
-
-    def f(a):
-        return float(reweighted_density(model, lam, a))
-
-    interior = [model.m] if 0.0 < model.m < a_max else None
-    value, _ = integrate.quad(f, 0.0, a_max, points=interior, limit=200)
-    return value

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
+from .io import read_columns
 
 
 @dataclass(frozen=True)
@@ -67,23 +68,5 @@ def fit_growth(series: GrowthSeries) -> GrowthFit:
 
 def load_growth_csv(path) -> GrowthSeries:
     """Read a two-column CSV `t,N`; an optional header row is skipped."""
-    times, counts = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ParseError(f"expected two comma-separated columns, got {line!r}", lineno)
-            try:
-                t, n = float(parts[0]), float(parts[1])
-            except ValueError:
-                if not times:
-                    continue  # header row
-                raise ParseError(f"could not parse {line!r}", lineno) from None
-            times.append(t)
-            counts.append(n)
-    if not times:
-        raise ValidationError(f"no data rows in {path}")
-    return GrowthSeries(times=np.array(times), counts=np.array(counts))
+    times, counts = read_columns(path, 2)
+    return GrowthSeries(times=times, counts=counts)

@@ -1,12 +1,13 @@
 """Closed-form intermitotic-time (IMT) density families and their division rates.
 
-Five families are supported, keyed by the names used on the command line:
+Five families are supported, keyed by the names used on the command line;
+the table `PARAMS` below lists each family's parameters in fitting order:
 
-    gamma1    shifted gamma, linear prefactor          params (m, sigma)
-    gamma2    shifted gamma, quadratic prefactor       params (m, sigma)
-    emg       exponentially modified Gaussian          params (beta0, m, sigma)
-    erfc      division rate is an error function       params (beta0, m, sigma)
-    erfc-mu   erfc rate plus a constant death rate     params (beta0, m, sigma, mu)
+    gamma1    shifted gamma, linear prefactor
+    gamma2    shifted gamma, quadratic prefactor
+    emg       exponentially modified Gaussian
+    erfc      division rate is an error function
+    erfc-mu   erfc rate plus a constant death rate
 
 Every family provides the IMT density `imt_density` and its growth-rate
 reweighted form `reweighted_density`.  All except `emg` also provide the
@@ -33,7 +34,17 @@ from scipy import special
 
 from .errors import UnsupportedVariantError, ValidationError
 
-FAMILIES = ("gamma1", "gamma2", "emg", "erfc", "erfc-mu")
+PARAMS = {
+    "gamma1": ("m", "sigma"),
+    "gamma2": ("m", "sigma"),
+    "emg": ("beta0", "m", "sigma"),
+    "erfc": ("beta0", "m", "sigma"),
+    "erfc-mu": ("beta0", "m", "sigma", "mu"),
+}
+FAMILIES = tuple(PARAMS)
+
+# every parameter field of Model: True if it must be > 0, False if >= 0
+_FIELDS = {"beta0": True, "m": False, "sigma": True, "mu": False}
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -60,61 +71,46 @@ class Model:
     """One member of an IMT model family (tagged union over FAMILIES)."""
 
     family: str
-    m: float
-    sigma: float
+    m: float | None = None
+    sigma: float | None = None
     beta0: float | None = None
     mu: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if not (np.isfinite(self.m) and self.m >= 0):
-            raise ValidationError(f"m must be nonnegative, got {self.m}")
-        if self.family in ("emg", "erfc", "erfc-mu"):
-            if self.beta0 is None or not (np.isfinite(self.beta0) and self.beta0 > 0):
-                raise ValidationError(f"{self.family} needs beta0 > 0, got {self.beta0}")
-        elif self.beta0 is not None:
-            raise ValidationError(f"{self.family} takes no beta0")
-        if self.family == "erfc-mu":
-            if self.mu is None or not (np.isfinite(self.mu) and self.mu >= 0):
-                raise ValidationError(f"erfc-mu needs mu >= 0, got {self.mu}")
-        elif self.mu is not None:
-            raise ValidationError(f"{self.family} takes no mu")
+        for name, positive in _FIELDS.items():
+            value = getattr(self, name)
+            if name not in PARAMS[self.family]:
+                if value is not None:
+                    raise ValidationError(f"{self.family} takes no {name}")
+            elif value is None or not (
+                math.isfinite(value) and (value > 0 if positive else value >= 0)
+            ):
+                bound = "> 0" if positive else ">= 0"
+                raise ValidationError(f"{self.family} needs {name} {bound}, got {value}")
 
     @property
     def death_rate(self) -> float:
         return self.mu if self.mu is not None else 0.0
 
     def param_dict(self) -> dict:
-        out = {"family": self.family, "m": self.m, "sigma": self.sigma}
-        if self.beta0 is not None:
-            out["beta0"] = self.beta0
-        if self.mu is not None:
-            out["mu"] = self.mu
-        return out
+        params = {name: getattr(self, name) for name in PARAMS[self.family]}
+        return {"family": self.family, **params}
 
     def to_json(self) -> str:
         return json.dumps(self.param_dict(), sort_keys=True)
 
 
-def model_from_dict(d: dict) -> Model:
+def model_from_dict(d) -> Model:
+    """Model from a mapping such as `Model.param_dict()`; ValidationError if malformed."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"a model must be a JSON object, got {type(d).__name__}")
     try:
-        family = d["family"]
-        m = float(d["m"])
-        sigma = float(d["sigma"])
-    except KeyError as exc:
-        raise ValidationError(f"model JSON missing key {exc}") from None
-    beta0 = d.get("beta0")
-    mu = d.get("mu")
-    return Model(
-        family=family,
-        m=m,
-        sigma=sigma,
-        beta0=None if beta0 is None else float(beta0),
-        mu=None if mu is None else float(mu),
-    )
+        params = {name: float(d[name]) for name in _FIELDS if d.get(name) is not None}
+    except (TypeError, ValueError):
+        raise ValidationError(f"model parameters must be numbers, got {d}") from None
+    return Model(family=d.get("family"), **params)
 
 
 def model_from_json(text: str) -> Model:
@@ -178,10 +174,17 @@ def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray) -> np.ndar
     return out[0] if scalar else out
 
 
+def _mass(f, m: float, sigma: float) -> float:
+    """Integral of the scalar function f over [0, m + 40*sigma], split at m."""
+    a_max = m + 40.0 * sigma
+    points = [m] if 0.0 < m < a_max else None
+    value, _ = integrate.quad(f, 0.0, a_max, points=points, limit=200)
+    return value
+
+
 @lru_cache(maxsize=256)
 def _erfc_mu_norm(beta0: float, m: float, sigma: float, mu: float) -> float:
-    """Normalizing mass of the erfc-mu density, by adaptive quadrature."""
-    a_max = m + 40.0 * sigma
+    """Normalizing mass of the erfc-mu density."""
 
     def integrand(a):
         return (
@@ -190,9 +193,7 @@ def _erfc_mu_norm(beta0: float, m: float, sigma: float, mu: float) -> float:
             * math.exp(-beta0 * erfc_integral(m, sigma, a) - mu * a)
         )
 
-    points = [m] if 0.0 < m < a_max else None
-    value, _ = integrate.quad(integrand, 0.0, a_max, points=points, limit=200)
-    return value
+    return _mass(integrand, m, sigma)
 
 
 def imt_density(model: Model, a):
@@ -234,6 +235,11 @@ def reweighted_density(model: Model, lam: float, a):
             * np.exp(-cumulative_hazard(model, a) - (model.mu + lam) * a)
         )
     return 2.0 * imt_density(model, a) * np.exp(-lam * a)
+
+
+def reweighted_mass(model: Model, lam: float) -> float:
+    """Total mass of reweighted_density(model, lam, .); 1 when lam is the model's growth rate."""
+    return _mass(lambda a: float(reweighted_density(model, lam, a)), model.m, model.sigma)
 
 
 class ClosedFormRate:

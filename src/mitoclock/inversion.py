@@ -19,6 +19,7 @@ from scipy import optimize, special
 
 from .errors import TruncationWarning, ValidationError
 from .imt_models import Model, TabulatedRate
+from .io import read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
 TAIL_BIAS_GUARD = 1e3  # denominator must exceed this multiple of the estimated missing tail
@@ -157,12 +158,8 @@ def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
 
 
 def write_rate_csv(rate: TabulatedRate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("age,beta\n")
-        for a, b in zip(rate.ages, rate.values):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+    write_columns(path, ("age", "beta"), (rate.ages, rate.values))
 
 
 def read_rate_csv(path) -> TabulatedRate:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return TabulatedRate(data[:, 0], data[:, 1])
+    return TabulatedRate(*read_columns(path, 2))

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import spectral
 from .errors import GridTooSmallError, ValidationError
+from .io import write_columns
 from .spectral import AgeProfile
 
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
@@ -71,6 +72,10 @@ class SimConfig:
     initial: object = field(default_factory=Equilibrium)
 
     def __post_init__(self):
+        for name in ("mu", "t_end", "dt", "a_max", "mu_q", "q0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not (0.0 <= self.f <= 1.0):
             raise ValidationError(f"quiescent fraction f must be in [0, 1], got {self.f}")
         if self.dt <= 0:
@@ -103,16 +108,11 @@ class SimOutput:
     snapshots: list
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,P,Q,N,births\n")
-            for row in zip(self.times, self.P, self.Q, self.N, self.births):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        columns = (self.times, self.P, self.Q, self.N, self.births)
+        write_columns(path, ("t", "P", "Q", "N", "births"), columns)
 
     def profile_to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("age,p\n")
-            for a, p in zip(self.final_profile.ages, self.final_profile.values):
-                fh.write(f"{float(a)!r},{float(p)!r}\n")
+        write_columns(path, ("age", "p"), (self.final_profile.ages, self.final_profile.values))
 
 
 class _CellGrid:

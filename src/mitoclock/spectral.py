@@ -26,6 +26,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigurationError, ValidationError
+from .io import write_columns
 
 SURVIVAL_TOL = 1e-12  # divergence check: exp(-hazard) must fall below this
 LAMBDA_MAX = 10.0
@@ -56,10 +57,7 @@ class EigenPair:
         return AgeProfile(self.grid, self.phi)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("age,p_hat,phi\n")
-            for a, p, f in zip(self.grid, self.p_hat, self.phi):
-                fh.write(f"{float(a)!r},{float(p)!r},{float(f)!r}\n")
+        write_columns(path, ("age", "p_hat", "phi"), (self.grid, self.p_hat, self.phi))
 
 
 def _exp_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,11 +123,11 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
                  grid: np.ndarray | None = None) -> float:
     """Root of the renewal equation: the asymptotic growth rate.
 
-    Requires mu >= 0 and a divergent division rate (survival below
+    Requires a finite mu >= 0 and a divergent division rate (survival below
     SURVIVAL_TOL at the top of the grid).
     """
-    if mu < 0:
-        raise ValidationError(f"death rate must be nonnegative, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValidationError(f"death rate must be finite and nonnegative, got {mu}")
     if grid is None:
         grid = build_grid(rate, step)
     fine = _refine_grid(grid, QUADRATURE_REFINE)

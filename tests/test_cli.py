@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import mitoclock as mc
-from mitoclock.cli import main
+from mitoclock.cli import build_parser, main
 
 
 FITTED_MODEL = {"family": "erfc-mu", "beta0": 0.17879, "m": 25.007, "sigma": 3.6141, "mu": 0.00333}
@@ -94,6 +95,13 @@ def test_fit_imt_unknown_family_is_usage_error(data_dir):
     assert excinfo.value.code == 2
 
 
+def test_fit_imt_family_choices_are_the_model_families():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in commands.choices["fit-imt"]._actions if a.dest == "family")
+    assert tuple(family.choices) == mc.FAMILIES
+
+
 def test_invert_round_trip(tmp_path, capsys):
     model = mc.Model(family="gamma1", m=17.0, sigma=2.0)
     ages = np.arange(0.0, 60.001, 0.01)
@@ -150,6 +158,40 @@ def test_simulate_rejects_bad_fraction(tmp_path, model_json, capsys):
     )
     assert code == 2
     assert "f must be in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "10", "--dt", "nan"],
+     ["--t-end", "10", "--mu-q", "inf"]],
+    ids=["t-end-nan", "t-end-inf", "dt-nan", "mu-q-inf"],
+)
+def test_simulate_rejects_non_finite_numbers(tmp_path, model_json, capsys, numbers):
+    code = main(
+        ["simulate", str(model_json), "--f", "0.6", *numbers, "--out-prefix", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"family": "erfc-mu", "beta0": 0.17', json.dumps(dict(FITTED_MODEL, m="x")), "[1, 2]"],
+    ids=["truncated-json", "text-field", "not-an-object"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--f", "0", "--t-end", "10"], ["verify", "--suite", "eigen"]],
+    ids=["simulate", "verify"],
+)
+def test_malformed_model_file_is_usage_error(tmp_path, capsys, text, command):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    args = [command[0], str(path), *command[1:]]
+    if command[0] == "simulate":
+        args += ["--out-prefix", str(tmp_path / "x")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_simulate_deterministic_output(tmp_path, model_json):

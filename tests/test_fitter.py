@@ -4,6 +4,7 @@ import pytest
 import mitoclock as mc
 from mitoclock import (
     BoundaryWarning,
+    DegenerateInputError,
     FitConvergenceError,
     Histogram,
     Kind,
@@ -120,6 +121,15 @@ def test_explicit_init_is_honored():
     assert result.model.m == pytest.approx(17.0, rel=1e-6)
     with pytest.raises(ValidationError):
         fit_imt(h, "gamma1", init=[16.0, 2.5, 0.1], seed=0)
+
+
+@pytest.mark.parametrize("family", mc.FAMILIES)
+def test_histogram_without_mass_is_rejected(family):
+    empty = Histogram(
+        bin_width=BIN_WIDTH, heights=np.zeros(N_BINS), kind=Kind.REWEIGHTED, lambda_used=LAM
+    )
+    with pytest.raises(DegenerateInputError):
+        fit_imt(empty, family, seed=0)
 
 
 def test_requires_reweighted_histogram():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from mitoclock import (
+    FAMILIES,
     ClosedFormRate,
     Model,
     TabulatedRate,
@@ -17,6 +18,7 @@ from mitoclock import (
     erfc,
     erfc_integral,
     imt_density,
+    model_from_dict,
     model_from_json,
     reweighted_density,
 )
@@ -272,8 +274,39 @@ def test_model_validation():
 
 
 def test_model_json_round_trip():
-    for model in (Model(family="gamma1", m=17.0, sigma=2.0), FIT_ERFC, FIT_ERFC_MU):
+    one_per_family = (
+        Model(family="gamma1", m=17.0, sigma=2.0),
+        Model(family="gamma2", m=19.0, sigma=2.5),
+        Model(family="emg", beta0=0.2, m=22.0, sigma=2.0),
+        FIT_ERFC,
+        FIT_ERFC_MU,
+    )
+    assert tuple(model.family for model in one_per_family) == FAMILIES
+    for model in one_per_family:
         assert model_from_json(model.to_json()) == model
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1.0, 2.0],
+        "erfc",
+        {"family": "gamma1", "m": "x", "sigma": 2.0},
+        {"family": "gamma1", "m": [17.0], "sigma": 2.0},
+        {"family": "gamma1", "sigma": 2.0},
+        {"family": "erfc", "m": 24.0, "sigma": 3.0},
+        {"family": "gamma1", "m": 17.0, "sigma": 2.0, "beta0": 0.1},
+        {"family": "gauss", "m": 17.0, "sigma": 2.0},
+        {"family": ["gamma1"], "m": 17.0, "sigma": 2.0},
+    ],
+    ids=[
+        "list", "string", "text-field", "list-field", "missing-m", "missing-beta0",
+        "extra-beta0", "unknown-family", "unhashable-family",
+    ],
+)
+def test_model_from_dict_rejects_malformed_objects(payload):
+    with pytest.raises(ValidationError):
+        model_from_dict(payload)
 
 
 # --- tabulated rates ----------------------------------------------------------

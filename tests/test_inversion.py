@@ -158,6 +158,19 @@ def test_rate_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, rate.values)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0.0,0.0\n1.0,0.5\n2.0,1.0\n", "# recovered rate\nage,beta\n0.0,0.0\n\n1.0,0.5\n2.0,1.0\n"],
+    ids=["no-header", "comment-then-header"],
+)
+def test_rate_csv_reader_keeps_every_data_row(tmp_path, text):
+    path = tmp_path / "beta.csv"
+    path.write_text(text)
+    rate = read_rate_csv(path)
+    np.testing.assert_array_equal(rate.ages, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(rate.values, [0.0, 0.5, 1.0])
+
+
 def test_best_erfc_fit_recovers_exact_parameters():
     ages = np.linspace(0.0, 60.0, 500)
     values = 0.15 * special.erfc((24.0 - ages) / 3.2)

@@ -42,6 +42,15 @@ def test_config_validation():
         TruncatedEquilibrium(-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["t_end", "dt", "mu", "a_max", "mu_q", "q0"])
+def test_config_rejects_non_finite_numbers(name, value):
+    kwargs = dict(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.5, t_end=10.0)
+    kwargs[name] = value
+    with pytest.raises(ValidationError):
+        SimConfig(**kwargs)
+
+
 def test_pure_transport_conserves_mass():
     config = SimConfig(
         rate=zero_rate(), mu=0.0, f=0.0, t_end=200.0, dt=0.05, a_max=220.0, initial=bump_profile()

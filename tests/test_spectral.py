@@ -83,6 +83,12 @@ def test_zero_rate_rejected():
         solve_lambda(zero, 0.0)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -0.01])
+def test_death_rate_must_be_finite_and_nonnegative(mu):
+    with pytest.raises(ValidationError):
+        solve_lambda(ClosedFormRate(FIT_ERFC_MU), mu)
+
+
 def test_nondivergent_grid_rejected():
     rate = ClosedFormRate(Model(family="erfc", beta0=0.14, m=24.0, sigma=3.3))
     with pytest.raises(ConfigurationError):

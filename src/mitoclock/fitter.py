@@ -3,10 +3,11 @@
 The objective is the unweighted sum of squared differences between the model
 curve `reweighted_density(model, lam, a_i)` and the bin heights at the bin
 midpoints.  The landscape is mildly nonconvex (the minimum age and width
-trade off against the rate plateau), so the optimizer runs a seeded
-multi-start simplex search followed by a single bounded least-squares
-polish of the best start.  Runs are deterministic given the seed, which
-defaults to the MITOCLOCK_SEED environment variable, then 0.
+trade off against the rate plateau), so one optimizer, bounded trust-region
+reflective least squares with a finite-difference Jacobian, runs from each
+of a set of seeded starts and the lowest-cost answer wins.  Runs are
+deterministic given the seed, which defaults to the MITOCLOCK_SEED
+environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ _LOWER = {"beta0": 1e-6, "m": 0.0, "sigma": 1e-3, "mu": 0.0}
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted model with goodness-of-fit and the unit-mass diagnostic."""
+    """Fitted model with goodness-of-fit and the unit-mass diagnostic.
+
+    `n_evaluations` counts every residual evaluation over all starts,
+    finite-difference Jacobian columns included; `fit_imt`'s `max_iter`
+    caps the evaluations of each start, Jacobian columns excluded.
+    """
 
     model: Model
     r_squared: float
@@ -120,9 +126,11 @@ def fit_imt(
 ) -> FitResult:
     """Fit a reweighted histogram with the chosen family's reweighted density.
 
-    Returns the best of `n_starts` seeded simplex descents, polished by a
-    bounded least-squares step.  Raises FitConvergenceError (carrying the
-    best result found) if no start converges, and emits a BoundaryWarning
+    Runs bounded least squares from `init` (or a default guess from the
+    histogram's moments) and `n_starts - 1` seeded jitters of it, and returns
+    the lowest-cost answer.  `max_iter` caps the residual evaluations of each
+    start, Jacobian columns excluded.  Raises FitConvergenceError (carrying
+    the best result found) if no start converges, and emits a BoundaryWarning
     when a fitted parameter is pinned at a bound.
     """
     if family not in FAMILIES:
@@ -139,57 +147,27 @@ def fit_imt(
     heights = h.heights
     n_eval = 0
 
-    def curve(theta):
-        return reweighted_density(_model_from_theta(family, theta), lam, mids)
-
-    def objective(theta):
+    def residual(theta):
         nonlocal n_eval
         n_eval += 1
-        r = curve(theta) - heights
-        return float(np.dot(r, r))
+        return reweighted_density(_model_from_theta(family, theta), lam, mids) - heights
 
     x0 = np.asarray(init, dtype=float) if init is not None else _default_init(family, h)
     if x0.size != len(names):
         raise ValidationError(f"{family} takes {len(names)} parameters {names}, got {x0.size}")
     lower = np.array([_LOWER[n] for n in names])
     x0 = np.maximum(x0, lower)
-    bounds = [(lo, None) for lo in lower]
 
     rng = np.random.default_rng(seed)
-    starts = _spread_starts(x0, names, n_starts, rng)
+    fits = [
+        optimize.least_squares(residual, theta0, bounds=(lower, np.inf), xtol=1e-15,
+                               ftol=1e-15, gtol=1e-15, max_nfev=max_iter)
+        for theta0 in _spread_starts(x0, names, n_starts, rng)
+    ]
+    best = min(fits, key=lambda res: res.cost)
 
-    best = None
-    any_converged = False
-    for theta0 in starts:
-        res = optimize.minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-14},
-        )
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-
-    def residual_vec(theta):
-        nonlocal n_eval
-        n_eval += 1
-        return curve(theta) - heights
-
-    polish = optimize.least_squares(
-        residual_vec,
-        np.maximum(best.x, lower + 1e-12),
-        bounds=(lower, np.inf),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    theta_best = polish.x if 2.0 * polish.cost <= best.fun else best.x
-
-    model = _model_from_theta(family, theta_best)
-    fitted = curve(theta_best)
-    residuals = heights - fitted
+    model = _model_from_theta(family, best.x)
+    residuals = -best.fun
     ss_res = float(np.dot(residuals, residuals))
     centered = heights - heights.mean()
     ss_tot = float(np.dot(centered, centered))
@@ -203,13 +181,13 @@ def fit_imt(
         residuals=residuals,
         n_evaluations=n_eval,
     )
-    if not any_converged:
+    if not any(res.success for res in fits):
         raise FitConvergenceError(
-            f"no simplex start converged within {max_iter} iterations", best=result
+            f"no least-squares start converged within {max_iter} evaluations", best=result
         )
     pinned = [
         name
-        for name, value, lo in zip(names, theta_best, lower)
+        for name, value, lo in zip(names, best.x, lower)
         if value <= lo + 1e-8 * (1.0 + lo)
     ]
     if pinned:

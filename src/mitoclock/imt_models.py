@@ -114,7 +114,12 @@ def model_from_dict(d) -> Model:
 
 
 def model_from_json(text: str) -> Model:
-    return model_from_dict(json.loads(text))
+    """Model from JSON text; ValidationError if the text is not a valid model."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError
+        raise ValidationError(f"not a JSON model: {exc}") from None
+    return model_from_dict(payload)
 
 
 def division_rate(model: Model, a):

@@ -118,8 +118,8 @@ class ErfcComparison:
 
 def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> ErfcComparison:
     """Compare a tabulated rate against beta0*erfc((m - a)/sigma) on its grid."""
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite([beta0, m, sigma]).all() and sigma > 0):
+        raise ValidationError(f"need finite beta0, m and sigma > 0; got {beta0}, {m}, {sigma}")
     if rate.ages.size == 0:
         raise ValidationError("empty rate table")
     candidate = beta0 * special.erfc((m - rate.ages) / sigma)

@@ -58,6 +58,16 @@ class CustomProfile:
     ages: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        ages, values = np.asarray(self.ages, dtype=float), np.asarray(self.values, dtype=float)
+        if ages.ndim != 1 or ages.shape != values.shape or ages.size < 2:
+            raise ValidationError("initial profile needs 1-D ages and values of one length >= 2, "
+                                  f"got shapes {ages.shape} and {values.shape}")
+        if not (np.isfinite(ages).all() and (np.diff(ages) > 0).all()):
+            raise ValidationError("initial profile ages must be finite and strictly increasing")
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValidationError("initial profile values must be finite and nonnegative")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -160,8 +170,6 @@ def _initial_masses(config: SimConfig, cells: _CellGrid) -> np.ndarray:
     if isinstance(init, CustomProfile):
         ages = np.asarray(init.ages, dtype=float)
         values = np.asarray(init.values, dtype=float)
-        if np.any(values < 0):
-            raise ValidationError("initial profile must be nonnegative")
         inside = (cells.centers >= ages[0]) & (cells.centers <= ages[-1])
         density = np.where(inside, np.interp(cells.centers, ages, values), 0.0)
         return density * cells.dt
@@ -236,6 +244,8 @@ def quiescent_fraction(config: SimConfig, t0: float) -> float:
     Both terms accumulate the same per-step division mass, so with
     mu = mu_q = 0 the result equals f exactly.
     """
+    if not (math.isfinite(t0) and t0 >= 0):
+        raise ValidationError(f"t0 must be finite and nonnegative, got {t0}")
     if t0 > config.t_end + 1e-12:
         raise ValidationError(f"simulation horizon {config.t_end} is shorter than t0 = {t0}")
     out = simulate(config)
@@ -259,6 +269,8 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025,
     Requires the rate to vanish on [0, t0] (hazard at t0 below hazard_tol)
     and big_t > t0.
     """
+    if not (all(math.isfinite(v) for v in (t0, big_t, dt)) and dt > 0):
+        raise ValidationError(f"t0, big_t and dt must be finite, dt > 0; got {t0}, {big_t}, {dt}")
     if big_t <= t0:
         raise ValidationError(f"observation window {big_t} must exceed t0 = {t0}")
     if float(rate.hazard(t0)) > hazard_tol:

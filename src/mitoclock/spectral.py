@@ -97,8 +97,8 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
     below SURVIVAL_TOL.  Raises ConfigurationError if the rate never
     accumulates enough hazard (e.g. a rate that is identically zero).
     """
-    if step <= 0:
-        raise ValidationError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"step must be finite and positive, got {step}")
     if a_max is None:
         model = getattr(rate, "model", None)
         if model is not None:

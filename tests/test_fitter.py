@@ -29,17 +29,17 @@ def synthetic_histogram(model, lam=LAM, noise=None, seed=0):
     return Histogram(bin_width=BIN_WIDTH, heights=heights, kind=Kind.REWEIGHTED, lambda_used=lam)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        mc.Model(family="gamma1", m=17.0, sigma=2.0),
-        mc.Model(family="gamma2", m=19.0, sigma=2.5),
-        mc.Model(family="emg", beta0=0.2, m=22.0, sigma=2.0),
-        mc.Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451),
-        mc.Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333),
-    ],
-    ids=lambda m: m.family,
-)
+# one generating model per family, in FAMILIES order
+TRUTHS = [
+    mc.Model(family="gamma1", m=17.0, sigma=2.0),
+    mc.Model(family="gamma2", m=19.0, sigma=2.5),
+    mc.Model(family="emg", beta0=0.2, m=22.0, sigma=2.0),
+    mc.Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451),
+    mc.Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333),
+]
+
+
+@pytest.mark.parametrize("model", TRUTHS, ids=lambda m: m.family)
 def test_round_trip_recovery(model):
     result = fit_imt(synthetic_histogram(model), model.family, seed=0)
     for name in ("beta0", "m", "sigma", "mu"):
@@ -49,6 +49,16 @@ def test_round_trip_recovery(model):
     assert result.r_squared > 0.999999
     assert result.n_evaluations > 0
     assert result.residuals.shape == (N_BINS,)
+
+
+@pytest.mark.parametrize("model", TRUTHS, ids=lambda m: m.family)
+def test_noisy_fit_is_at_least_as_good_as_the_truth(model):
+    h = synthetic_histogram(model, noise=0.05, seed=21)
+    truth_residuals = h.heights - np.asarray(reweighted_density(model, LAM, MIDPOINTS))
+    result = fit_imt(h, model.family, seed=1)
+    ssr = float(np.dot(result.residuals, result.residuals))
+    assert ssr <= float(np.dot(truth_residuals, truth_residuals))
+    assert result.n_evaluations > 0
 
 
 def test_round_trip_with_death_recovers_within_one_percent():
@@ -97,12 +107,13 @@ def test_death_family_mass_is_closer_to_one_on_shipped_data(data_dir):
 
 
 def test_deterministic_given_seed():
-    model = mc.Model(family="erfc", beta0=0.15, m=24.0, sigma=3.0)
-    h = synthetic_histogram(model, noise=0.05, seed=5)
-    a = fit_imt(h, "erfc", seed=7)
-    b = fit_imt(h, "erfc", seed=7)
-    assert a.model == b.model
-    assert a.n_evaluations == b.n_evaluations
+    assert [model.family for model in TRUTHS] == list(mc.FAMILIES)
+    for model in TRUTHS:
+        h = synthetic_histogram(model, noise=0.05, seed=5)
+        a = fit_imt(h, model.family, seed=7)
+        b = fit_imt(h, model.family, seed=7)
+        assert a.model == b.model
+        assert a.n_evaluations == b.n_evaluations > 0
 
 
 def test_seed_env_variable(monkeypatch):

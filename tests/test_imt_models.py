@@ -309,6 +309,12 @@ def test_model_from_dict_rejects_malformed_objects(payload):
         model_from_dict(payload)
 
 
+@pytest.mark.parametrize("text", ["{", "", "not json", '{"family": "erfc", "m": 1'])
+def test_model_from_json_rejects_malformed_text(text):
+    with pytest.raises(ValidationError):
+        model_from_json(text)
+
+
 # --- tabulated rates ----------------------------------------------------------
 
 def test_tabulated_rate_interpolates_and_clamps():

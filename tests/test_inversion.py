@@ -125,6 +125,16 @@ def test_erfc_distance_validation():
         erfc_distance(rate, 0.1, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["beta0", "m", "sigma"])
+def test_erfc_distance_rejects_non_finite_parameters(name, value):
+    from mitoclock import TabulatedRate
+
+    params = {"beta0": 0.1, "m": 1.0, "sigma": 1.0, name: value}
+    with pytest.raises(ValidationError):
+        erfc_distance(TabulatedRate([0.0, 1.0], [0.1, 0.1]), **params)
+
+
 def test_invert_rejects_fat_tail():
     ages = np.linspace(0.0, 30.0, 200)
     model = Model(family="gamma1", m=17.0, sigma=2.0)

@@ -42,6 +42,25 @@ def test_config_validation():
         TruncatedEquilibrium(-1.0)
 
 
+@pytest.mark.parametrize(
+    "ages, values",
+    [
+        ([0.0, 1.0, 2.0], [0.0, float("nan"), 0.0]),
+        ([0.0, float("inf")], [0.1, 0.1]),
+        ([2.0, 1.0, 0.0], [0.1, 0.1, 0.1]),
+        ([0.0, 1.0, 1.0], [0.1, 0.1, 0.1]),
+        ([0.0, 1.0, 2.0], [0.1, 0.1]),
+        ([0.0, 1.0], [0.1, -0.1]),
+        ([1.0], [0.1]),
+    ],
+    ids=["nan-value", "inf-age", "decreasing", "repeated-age", "length-mismatch", "negative",
+         "single-point"],
+)
+def test_custom_profile_validation(ages, values):
+    with pytest.raises(ValidationError):
+        CustomProfile(np.array(ages), np.array(values))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["t_end", "dt", "mu", "a_max", "mu_q", "q0"])
 def test_config_rejects_non_finite_numbers(name, value):
@@ -138,6 +157,13 @@ def test_quiescent_fraction_horizon_check():
         quiescent_fraction(config, 20.0)
 
 
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), -1.0])
+def test_quiescent_fraction_rejects_bad_t0(t0):
+    config = SimConfig(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.3, t_end=10.0, dt=0.05)
+    with pytest.raises(ValidationError):
+        quiescent_fraction(config, t0)
+
+
 def test_treated_growth_departs_after_min_division_age():
     rate = ClosedFormRate(FIT_ERFC_MU)
     runs = {
@@ -214,6 +240,16 @@ def test_imt_experiment_requires_quiet_start():
         imt_experiment(rate, 0.0, FIT_ERFC.m, FIT_ERFC.m + 40.0)
     with pytest.raises(ValidationError, match="exceed"):
         imt_experiment(rate, 0.0, 10.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "t0, big_t, dt",
+    [(float("nan"), 80.0, 0.025), (10.0, float("nan"), 0.025), (10.0, 80.0, float("nan")),
+     (10.0, float("inf"), 0.025), (10.0, 80.0, 0.0)],
+)
+def test_imt_experiment_rejects_non_finite_times(t0, big_t, dt):
+    with pytest.raises(ValidationError):
+        imt_experiment(ClosedFormRate(FIT_ERFC), 0.0, t0, big_t, dt)
 
 
 def test_imt_experiment_point_cohort_matches_survival_weighted_rate():

@@ -180,3 +180,10 @@ def test_build_grid_extends_until_survival_is_negligible():
     assert float(np.exp(-rate.hazard(grid[-1]))) < 1e-12
     assert grid[0] == 0.0
     assert np.allclose(np.diff(grid), 0.05)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.05])
+def test_build_grid_rejects_bad_step(step):
+    rate = ClosedFormRate(Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451))
+    with pytest.raises(ValidationError):
+        build_grid(rate, step=step)

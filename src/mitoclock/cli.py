@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_eigen(rate, mu):
+def _verify_eigen(rate, mu, model):
     pair = spectral.equilibrium(rate, mu)
     grid = pair.grid
     residual = abs(spectral.renewal_residual(rate, mu, pair.lam, grid))
@@ -160,7 +160,7 @@ def _verify_eigen(rate, mu):
     ]
 
 
-def _verify_gre(rate, mu):
+def _verify_gre(rate, mu, model):
     pair = spectral.equilibrium(rate, mu, step=0.05)
     config = simulator.SimConfig(
         rate=rate, mu=mu, f=0.0, t_end=100.0, dt=0.05, a_max=float(pair.grid[-1])
@@ -188,7 +188,7 @@ def _verify_imt_convergence(rate, mu, model):
     return checks
 
 
-def _verify_fraction(rate, mu):
+def _verify_fraction(rate, mu, model):
     checks = []
     t0 = 20.0
     for f in (0.0, 0.3, 0.6, 0.84):
@@ -205,18 +205,18 @@ def _verify_fraction(rate, mu):
     return checks
 
 
+# verify suite name -> suite(rate, mu, model) returning (name, ok, value) checks
+SUITES = {
+    "eigen": _verify_eigen,
+    "gre": _verify_gre,
+    "imt-convergence": _verify_imt_convergence,
+    "fraction": _verify_fraction,
+}
+
+
 def cmd_verify(args) -> int:
     model = _read_model(args.model_json)
-    rate = ClosedFormRate(model)
-    mu = model.death_rate
-    if args.suite == "eigen":
-        checks = _verify_eigen(rate, mu)
-    elif args.suite == "gre":
-        checks = _verify_gre(rate, mu)
-    elif args.suite == "imt-convergence":
-        checks = _verify_imt_convergence(rate, mu, model)
-    else:
-        checks = _verify_fraction(rate, mu)
+    checks = SUITES[args.suite](ClosedFormRate(model), model.death_rate, model)
     all_ok = True
     for name, ok, value in checks:
         all_ok = all_ok and ok
@@ -272,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a numerical verification suite")
     p.add_argument("model_json")
-    p.add_argument(
-        "--suite", required=True, choices=["eigen", "gre", "imt-convergence", "fraction"]
-    )
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -110,14 +110,19 @@ def reweight(h: Histogram, lam: float) -> Histogram:
     """Fold the growth rate into a density histogram.
 
     Each height becomes 2*H_i*exp(-lam*a_i), renormalized so the result is
-    again a density (bin_width * sum == 1).  lam = 0 is the identity.
+    again a density (bin_width * sum == 1).  lam = 0 is the identity; a lam
+    so negative that the weights overflow is a ValidationError.
     """
     if h.kind is not Kind.DENSITY:
         raise StateError(f"reweight expects a density histogram, got {h.kind.value}")
     if not np.isfinite(lam):
         raise ValidationError(f"lambda must be finite, got {lam}")
-    weighted = 2.0 * h.heights * np.exp(-lam * h.midpoints)
-    total = h.bin_width * weighted.sum()
+    with np.errstate(over="raise"):
+        try:
+            weighted = 2.0 * h.heights * np.exp(-lam * h.midpoints)
+            total = h.bin_width * weighted.sum()
+        except FloatingPointError:
+            raise ValidationError(f"lambda = {lam} is too negative: weights overflow") from None
     if total <= 0:
         raise DegenerateInputError("reweighted histogram has no mass")
     return Histogram(

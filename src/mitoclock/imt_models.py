@@ -10,15 +10,16 @@ the table `PARAMS` below lists each family's parameters in fitting order:
     erfc-mu   erfc rate plus a constant death rate
 
 Every family provides the IMT density `imt_density` and its growth-rate
-reweighted form `reweighted_density`.  All except `emg` also provide the
-division rate in closed form (`division_rate`) together with its integral
-(`cumulative_hazard`); the emg rate must be recovered numerically through
-the `inversion` module.
+reweighted form `reweighted_density`.  Each closed-form family (all except
+`emg`) is defined by its division rate (`division_rate`) and that rate's
+integral (`cumulative_hazard`); both densities follow from these through
+the hazard identity: the probability that a cell has not divided by age a
+is exp(-cumulative_hazard(a)), so the density of ages at division is
+rate(a) * exp(-hazard(a) - mu*a), normalized.  `emg` is defined by its
+density instead; its rate must be recovered numerically through the
+`inversion` module.
 
-Throughout, ages and times are in hours, rates in 1/hour.  The hazard
-interpretation ties the pieces together: the probability that a cell has
-not divided by age a is exp(-cumulative_hazard(a)), and the density of
-ages at division is rate(a) * exp(-hazard(a) - mu*a), normalized.
+Throughout, ages and times are in hours, rates in 1/hour.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def division_rate(model: Model, a):
     if model.family == "gamma2":
         x = np.maximum(a - model.m, 0.0)
         s = model.sigma
-        return np.where(x > 0, x * x / (s * (2 * s * s + 2 * s * x + x * x)), 0.0)
+        return x * x / (s * (2 * s * s + 2 * s * x + x * x))
     if model.family in ("erfc", "erfc-mu"):
         return model.beta0 * special.erfc((model.m - a) / model.sigma)
     raise UnsupportedVariantError(
@@ -187,59 +188,44 @@ def _mass(f, m: float, sigma: float) -> float:
     return value
 
 
+def _hazard_density(model: Model, a: np.ndarray, decay: float) -> np.ndarray:
+    """rate(a) * exp(-hazard(a) - decay*a): the identity behind every closed-form family."""
+    return division_rate(model, a) * np.exp(-cumulative_hazard(model, a) - decay * a)
+
+
 @lru_cache(maxsize=256)
-def _erfc_mu_norm(beta0: float, m: float, sigma: float, mu: float) -> float:
-    """Normalizing mass of the erfc-mu density."""
-
-    def integrand(a):
-        return (
-            beta0
-            * special.erfc((m - a) / sigma)
-            * math.exp(-beta0 * erfc_integral(m, sigma, a) - mu * a)
-        )
-
-    return _mass(integrand, m, sigma)
+def _death_norm(model: Model) -> float:
+    """Normalizing mass of the density of a family with a death rate."""
+    return _mass(lambda a: float(_hazard_density(model, a, model.mu)), model.m, model.sigma)
 
 
 def imt_density(model: Model, a):
     """IMT density I(a): normalized density of ages at division.
 
-    Families without death integrate to exactly 1; the erfc-mu family is
-    normalized by quadrature.
+    emg is defined by its density.  Every other family is defined by its rate
+    and hazard, I(a) = rate(a)*exp(-hazard(a) - mu*a) / norm, where norm is 1
+    without death (the density then integrates to 1 exactly) and is computed
+    by quadrature for a family with a death rate.
     """
     a = np.asarray(a, dtype=float)
-    if model.family == "gamma1":
-        x = np.maximum(a - model.m, 0.0)
-        s = model.sigma
-        return np.where(a > model.m, x / (s * s) * np.exp(-x / s), 0.0)
-    if model.family == "gamma2":
-        x = np.maximum(a - model.m, 0.0)
-        s = model.sigma
-        return np.where(a > model.m, x * x / (2 * s**3) * np.exp(-x / s), 0.0)
     if model.family == "emg":
         return _emg_density(model.beta0, model.m, model.sigma, a)
-    if model.family == "erfc":
-        return division_rate(model, a) * np.exp(-cumulative_hazard(model, a))
-    # erfc-mu
-    c = _erfc_mu_norm(model.beta0, model.m, model.sigma, model.mu)
-    return division_rate(model, a) * np.exp(-cumulative_hazard(model, a) - model.mu * a) / c
+    density = _hazard_density(model, a, model.death_rate)
+    return density if model.mu is None else density / _death_norm(model)
 
 
 def reweighted_density(model: Model, lam: float, a):
     """Growth-rate reweighted density: the fitting target for reweighted histograms.
 
-    For families without death this is 2*I(a)*exp(-lam*a).  For erfc-mu it is
-    the normalization-free form 2*rate(a)*exp(-hazard(a) - (mu+lam)*a), which
-    integrates to 1 exactly when (rate, mu, lam) solve the growth eigenproblem.
+    For emg this is 2*I(a)*exp(-lam*a).  Every other family uses the
+    normalization-free form 2*rate(a)*exp(-hazard(a) - (mu+lam)*a), which
+    equals 2*I(a)*exp(-lam*a) without death and integrates to 1 exactly when
+    (rate, mu, lam) solve the growth eigenproblem.
     """
     a = np.asarray(a, dtype=float)
-    if model.family == "erfc-mu":
-        return (
-            2.0
-            * division_rate(model, a)
-            * np.exp(-cumulative_hazard(model, a) - (model.mu + lam) * a)
-        )
-    return 2.0 * imt_density(model, a) * np.exp(-lam * a)
+    if model.family == "emg":
+        return 2.0 * imt_density(model, a) * np.exp(-lam * a)
+    return 2.0 * _hazard_density(model, a, model.death_rate + lam)
 
 
 def reweighted_mass(model: Model, lam: float) -> float:

@@ -30,6 +30,7 @@ from .io import write_columns
 from .spectral import AgeProfile
 
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
+MAX_STEPS = 10**7  # most time steps one simulate or imt_experiment run may take
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class TruncatedEquilibrium:
     t0: float
 
     def __post_init__(self):
-        if self.t0 < 0:
-            raise ValidationError(f"t0 must be nonnegative, got {self.t0}")
+        if not (math.isfinite(self.t0) and self.t0 >= 0):
+            raise ValidationError(f"t0 must be finite and nonnegative, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ class SimConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValidationError("t_end must cover at least one step")
+        if self.t_end / self.dt > MAX_STEPS:
+            raise ValidationError(f"t_end / dt = {self.t_end / self.dt:.3g} steps > {MAX_STEPS}")
         if self.mu < 0:
             raise ValidationError(f"mu must be nonnegative, got {self.mu}")
         if self.mu_q is not None and self.mu_q < 0:
@@ -133,22 +136,32 @@ class _CellGrid:
         self.dt = dt
         self.centers = (np.arange(n_cells) + 0.5) * dt
         self.beta = np.asarray(rate(self.centers), dtype=float)
+        self.hazard = np.asarray(rate.hazard(self.centers), dtype=float)
         # hazard picked up while a cell's content ages by one step
-        dh = np.asarray(rate.hazard(self.centers + dt), dtype=float) - np.asarray(
-            rate.hazard(self.centers), dtype=float
-        )
+        dh = np.asarray(rate.hazard(self.centers + dt), dtype=float) - self.hazard
         x = dh + mu * dt
         self.keep = np.exp(-x)
         removed = -np.expm1(-x)
         div_share = np.where(x > 0, dh / np.where(x > 0, x, 1.0), 0.0)
         self.div_frac = removed * div_share  # mass fraction dividing per step
 
+    def advance(self, m: np.ndarray, newborn: float) -> np.ndarray:
+        """Masses one step later: survivors move up one cell, newborn mass enters cell 0."""
+        survivors = m * self.keep
+        m = np.empty_like(survivors)
+        m[1:] = survivors[:-1]
+        m[0] = newborn
+        return m
+
 
 def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> np.ndarray:
+    if t0 == 0.0:  # the cut profile degenerates to a unit cohort in the first cell
+        m = np.zeros_like(cells.centers)
+        m[0] = 1.0
+        return m
     # lambda needs the full divergence range even when the cell grid is short
     lam = spectral.solve_lambda(rate, mu, step=cells.dt)
-    hazard = np.asarray(rate.hazard(cells.centers), dtype=float)
-    weights = np.exp(-(hazard + (mu + lam) * cells.centers))
+    weights = np.exp(-(cells.hazard + (mu + lam) * cells.centers))
     if t0 is not None:
         weights = np.where(cells.centers <= t0, weights, 0.0)
     total = weights.sum()
@@ -162,10 +175,6 @@ def _initial_masses(config: SimConfig, cells: _CellGrid) -> np.ndarray:
     if isinstance(init, Equilibrium):
         return _equilibrium_masses(config.rate, config.mu, cells, None)
     if isinstance(init, TruncatedEquilibrium):
-        if init.t0 == 0.0:
-            m = np.zeros_like(cells.centers)
-            m[0] = 1.0
-            return m
         return _equilibrium_masses(config.rate, config.mu, cells, init.t0)
     if isinstance(init, CustomProfile):
         ages = np.asarray(init.ages, dtype=float)
@@ -182,9 +191,8 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     Raises GridTooSmallError if noticeable mass reaches the top age cell.
     """
     dt = config.dt
-    if config.a_max is not None:
-        a_max = config.a_max
-    else:
+    a_max = config.a_max
+    if a_max is None:
         a_max = float(spectral.build_grid(config.rate, step=dt)[-1])
     cells = _CellGrid(config.rate, config.mu, dt, a_max)
     m = _initial_masses(config, cells)
@@ -220,10 +228,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
                 f"age profile reached a_max = {a_max:g} at t = {n * dt:g} "
                 f"(top cell holds {m[-1]:.3e}); increase a_max"
             )
-        survivors = m * cells.keep
-        m = np.empty_like(survivors)
-        m[1:] = survivors[:-1]
-        m[0] = 2.0 * (1.0 - f) * divisions
+        m = cells.advance(m, 2.0 * (1.0 - f) * divisions)
         q = q + 2.0 * f * divisions - dt * mu_q * q
 
     return SimOutput(
@@ -267,12 +272,14 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025,
     normalized into the finite-window density I_T; the returned gap is
     integral |I_T - I_inf| against the ideal density on the same cells.
     Requires the rate to vanish on [0, t0] (hazard at t0 below hazard_tol)
-    and big_t > t0.
+    and big_t > t0, with big_t / dt at most MAX_STEPS.
     """
     if not (all(math.isfinite(v) for v in (t0, big_t, dt)) and dt > 0):
         raise ValidationError(f"t0, big_t and dt must be finite, dt > 0; got {t0}, {big_t}, {dt}")
     if big_t <= t0:
         raise ValidationError(f"observation window {big_t} must exceed t0 = {t0}")
+    if big_t / dt > MAX_STEPS:
+        raise ValidationError(f"big_t / dt = {big_t / dt:.3g} steps > {MAX_STEPS}")
     if float(rate.hazard(t0)) > hazard_tol:
         raise ValidationError(
             f"division rate is not ~0 below t0 = {t0} "
@@ -281,27 +288,19 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025,
     steps = int(round(big_t / dt))
     a_max = big_t + t0 + 2.0 * dt
     cells = _CellGrid(rate, mu, dt, a_max)
-    if t0 == 0.0:
-        m = np.zeros_like(cells.centers)
-        m[0] = 1.0
-    else:
-        m = _equilibrium_masses(rate, mu, cells, t0)
+    m = _equilibrium_masses(rate, mu, cells, t0)
 
     acc = np.zeros_like(cells.centers)
     for _ in range(steps):
         acc += cells.beta * m * dt
-        survivors = m * cells.keep
-        m = np.empty_like(survivors)
-        m[1:] = survivors[:-1]
-        m[0] = 0.0
+        m = cells.advance(m, 0.0)
 
     c_t = float(acc.sum())
     if c_t <= 0:
         raise ValidationError("no division flux observed by big_t; window too short")
     i_t = acc / (c_t * dt)
 
-    hazard = np.asarray(rate.hazard(cells.centers), dtype=float)
-    ideal = cells.beta * np.exp(-hazard - mu * cells.centers)
+    ideal = cells.beta * np.exp(-cells.hazard - mu * cells.centers)
     ideal /= ideal.sum() * dt
     l1_gap = float(np.abs(i_t - ideal).sum() * dt)
     return AgeProfile(cells.centers, i_t), l1_gap

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mitoclock as mc
-from mitoclock.cli import build_parser, main
+from mitoclock.cli import SUITES, build_parser, main
 
 
 FITTED_MODEL = {"family": "erfc-mu", "beta0": 0.17879, "m": 25.007, "sigma": 3.6141, "mu": 0.00333}
@@ -100,6 +100,13 @@ def test_fit_imt_family_choices_are_the_model_families():
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     family = next(a for a in commands.choices["fit-imt"]._actions if a.dest == "family")
     assert tuple(family.choices) == mc.FAMILIES
+
+
+def test_verify_suite_choices_are_the_suite_table():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == list(SUITES)
 
 
 def test_invert_round_trip(tmp_path, capsys):

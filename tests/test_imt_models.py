@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from mitoclock import (
     FAMILIES,
@@ -189,22 +189,34 @@ def test_density_has_unit_mass(model):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+def shifted_gamma_pdf(k):
+    """scipy's gamma density with shape k, shifted by m and scaled by sigma."""
+    return lambda model, ages: stats.gamma.pdf(ages - model.m, k, scale=model.sigma)
+
+
+def erfc_rate_times_numeric_survival(model, ages):
+    """beta0*erfc((m - a)/sigma) * exp(-integral of it), the hazard by quadrature."""
+    def rate(a):
+        return model.beta0 * math.erfc((model.m - a) / model.sigma)
+
+    hazard = np.array([integrate.quad(rate, 0.0, a)[0] for a in ages])
+    return np.array([rate(a) for a in ages]) * np.exp(-hazard)
+
+
 @pytest.mark.parametrize(
-    "model",
+    "model, reference",
     [
-        Model(family="gamma1", m=17.0, sigma=2.0),
-        Model(family="gamma2", m=17.0, sigma=2.0),
-        FIT_ERFC,
+        (Model(family="gamma1", m=17.0, sigma=2.0), shifted_gamma_pdf(2)),
+        (Model(family="gamma2", m=17.0, sigma=2.0), shifted_gamma_pdf(3)),
+        (FIT_ERFC, erfc_rate_times_numeric_survival),
     ],
-    ids=lambda m: m.family,
+    ids=["gamma1", "gamma2", "erfc"],
 )
-def test_density_equals_rate_times_survival(model):
+def test_density_equals_rate_times_survival(model, reference):
+    # references independent of division_rate, cumulative_hazard and imt_density
     ages = np.linspace(0.0, 80.0, 400)
     direct = np.asarray(imt_density(model, ages))
-    via_hazard = np.asarray(division_rate(model, ages)) * np.exp(
-        -np.asarray(cumulative_hazard(model, ages))
-    )
-    np.testing.assert_allclose(direct, via_hazard, atol=1e-8, rtol=0)
+    np.testing.assert_allclose(direct, reference(model, ages), atol=1e-15, rtol=1e-11)
 
 
 def test_emg_density_is_skewed_unimodal():
@@ -239,6 +251,25 @@ def test_reweighted_mass_for_fitted_parameter_sets():
     )
     assert mass5 == pytest.approx(1.0983, abs=3e-3)
     assert mass6 == pytest.approx(1.0132, abs=3e-3)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Model(family="gamma1", m=17.0, sigma=2.0),
+        Model(family="gamma2", m=17.0, sigma=2.0),
+        Model(family="emg", beta0=0.2, m=22.0, sigma=2.0),
+        FIT_ERFC,
+    ],
+    ids=lambda m: m.family,
+)
+def test_reweighted_density_is_twice_the_discounted_density_without_death(model):
+    ages = np.linspace(0.0, 120.0, 2401)
+    for lam in (0.0, 0.022, 0.1):
+        expected = 2.0 * np.asarray(imt_density(model, ages)) * np.exp(-lam * ages)
+        np.testing.assert_allclose(
+            np.asarray(reweighted_density(model, lam, ages)), expected, rtol=1e-13, atol=0
+        )
 
 
 def test_reweighted_density_bypasses_normalization_for_death_family():

@@ -15,6 +15,7 @@ from mitoclock import (
     simulate,
     solve_lambda,
 )
+from mitoclock.simulator import MAX_STEPS
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
 FIT_ERFC = Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
@@ -68,6 +69,31 @@ def test_config_rejects_non_finite_numbers(name, value):
     kwargs[name] = value
     with pytest.raises(ValidationError):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("t0", [float("nan"), float("inf")])
+def test_truncated_equilibrium_rejects_non_finite_t0(t0):
+    with pytest.raises(ValidationError, match="t0"):
+        TruncatedEquilibrium(t0)
+
+
+class UntouchableRate:
+    """A rate that fails the test if anything evaluates it."""
+
+    def __call__(self, a):
+        raise AssertionError("rate evaluated")
+
+    def hazard(self, a):
+        raise AssertionError("hazard evaluated")
+
+
+def test_step_count_is_capped():
+    # 1e12 steps: built but never run; the guard must fire before any work
+    assert MAX_STEPS < 1e12
+    with pytest.raises(ValidationError, match="steps"):
+        SimConfig(rate=UntouchableRate(), mu=0.0, f=0.5, t_end=1e9, dt=1e-3)
+    with pytest.raises(ValidationError, match="steps"):
+        imt_experiment(UntouchableRate(), 0.0, 0.0, 1e9, dt=1e-3)
 
 
 def test_pure_transport_conserves_mass():

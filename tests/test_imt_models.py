@@ -199,7 +199,9 @@ def erfc_rate_times_numeric_survival(model, ages):
     def rate(a):
         return model.beta0 * math.erfc((model.m - a) / model.sigma)
 
-    hazard = np.array([integrate.quad(rate, 0.0, a)[0] for a in ages])
+    hazard = np.array(
+        [integrate.quad(rate, 0.0, a, epsabs=1e-14, epsrel=1e-13)[0] for a in ages]
+    )
     return np.array([rate(a) for a in ages]) * np.exp(-hazard)
 
 

@@ -1,0 +1,101 @@
+"""Verification suites: numerical identities a fitted model must satisfy.
+
+Each suite takes the division rate, the death rate and the model and returns
+its checks.  `mitoclock verify --suite NAME` prints them; the acceptance tests
+run the same suites and hold the returned values to their own tolerances.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from . import simulator, spectral
+
+
+class Check(NamedTuple):
+    """One verified identity: what was checked, whether it held, the measured value."""
+
+    name: str
+    ok: bool
+    value: object
+
+
+def imt_windows(model) -> tuple[float, list[float]]:
+    """Cohort start t0 and the observation windows of the imt-convergence suite."""
+    t0 = max(model.m - 4.0 * model.sigma, 0.0)
+    return t0, [t0 + model.m + k * model.sigma for k in (5.0, 10.0, 15.0)]
+
+
+def _verify_eigen(rate, mu, model):
+    pair = spectral.equilibrium(rate, mu)
+    grid = pair.grid
+    residual = abs(spectral.renewal_residual(rate, mu, pair.lam, grid))
+    delta = 0.01
+    shifted = spectral.solve_lambda(rate, mu + delta, grid=grid)
+    shift_err = abs(shifted - (pair.lam - delta))
+    mass_err = abs(float(np.trapezoid(pair.p_hat, grid)) - 1.0)
+    adjoint_err = abs(float(np.trapezoid(pair.p_hat * pair.phi, grid)) - 1.0)
+    births = 2.0 * float(np.trapezoid(np.asarray(rate(grid)) * pair.p_hat, grid))
+    boundary = abs(pair.p_hat[0] - births) / pair.p_hat[0]
+    return [
+        Check("renewal residual < 1e-10", residual < 1e-10, residual),
+        Check("mu-shift identity < 1e-10", shift_err < 1e-10, shift_err),
+        Check("p_hat mass within 1e-8", mass_err < 1e-8, mass_err),
+        Check("adjoint normalization within 1e-6", adjoint_err < 1e-6, adjoint_err),
+        Check("boundary identity (trapezoid) within 1e-4", boundary < 1e-4, boundary),
+    ]
+
+
+def _verify_gre(rate, mu, model):
+    pair = spectral.equilibrium(rate, mu, step=0.05)
+    config = simulator.SimConfig(
+        rate=rate, mu=mu, f=0.0, t_end=100.0, dt=0.05, a_max=float(pair.grid[-1])
+    )
+    times = [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
+    out = simulator.simulate(config, snapshot_times=times)
+    centers = out.final_profile.ages
+    adjoint = spectral.AgeProfile(centers, np.interp(centers, pair.grid, pair.phi))
+    values = [
+        spectral.gre_functional(spectral.AgeProfile(centers, snap), adjoint, pair.lam, t)
+        for t, snap in out.snapshots
+    ]
+    drift = max(abs(v / values[0] - 1.0) for v in values)
+    lowest = min(float(snap.min()) for _, snap in out.snapshots)
+    return [
+        Check("entropy-weighted mass drift < 0.5% over 100 h", drift < 0.005, drift),
+        Check("age profile nonnegative at every snapshot", lowest >= 0, lowest),
+    ]
+
+
+def _verify_imt_convergence(rate, mu, model):
+    t0, windows = imt_windows(model)
+    gaps = [simulator.imt_experiment(rate, mu, t0, w)[1] for w in windows]
+    return [
+        Check(f"L1 gap at T={windows[-1]:.1f} < 0.02", gaps[-1] < 0.02, gaps[-1]),
+        Check("L1 gap decreases with T", gaps[0] > gaps[1] > gaps[2], tuple(gaps)),
+    ]
+
+
+def _verify_fraction(rate, mu, model):
+    # (death rate, f, tolerance): F == f is exact without death, approximate with it
+    cases = [(0.0, f, "1e-4") for f in (0.0, 0.3, 0.6, 0.84)]
+    if mu > 0:
+        cases += [(mu, f, "0.01") for f in (0.3, 0.6, 0.84)]
+    checks = []
+    t0 = 20.0
+    for death, f, tol in cases:
+        config = simulator.SimConfig(rate=rate, mu=death, f=f, t_end=t0, dt=0.05)
+        err = abs(simulator.quiescent_fraction(config, t0) - f)
+        checks.append(Check(f"|F - f| < {tol} at f={f:g}, mu={death:g}", err < float(tol), err))
+    return checks
+
+
+# verify suite name -> suite(rate, mu, model) returning its list of Checks
+SUITES = {
+    "eigen": _verify_eigen,
+    "gre": _verify_gre,
+    "imt-convergence": _verify_imt_convergence,
+    "fraction": _verify_fraction,
+}

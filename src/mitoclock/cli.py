@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import simulator, spectral, svg
+from . import simulator, svg
+from .checks import SUITES
 from .errors import MitoclockError, ValidationError
 from .fitter import fit_imt, mass_check
 from .growth import GrowthSeries, fit_growth, load_growth_csv
@@ -138,80 +139,6 @@ def cmd_simulate(args) -> int:
         y_label="ln N(t)/N(0)",
     )
     return 0
-
-
-def _verify_eigen(rate, mu, model):
-    pair = spectral.equilibrium(rate, mu)
-    grid = pair.grid
-    residual = abs(spectral.renewal_residual(rate, mu, pair.lam, grid))
-    delta = 0.01
-    shifted = spectral.solve_lambda(rate, mu + delta, grid=grid)
-    shift_err = abs(shifted - (pair.lam - delta))
-    mass_err = abs(float(np.trapezoid(pair.p_hat, grid)) - 1.0)
-    adjoint_err = abs(float(np.trapezoid(pair.p_hat * pair.phi, grid)) - 1.0)
-    births = 2.0 * float(np.trapezoid(np.asarray(rate(grid)) * pair.p_hat, grid))
-    boundary = abs(pair.p_hat[0] - births) / pair.p_hat[0]
-    return [
-        ("renewal residual < 1e-10", residual < 1e-10, residual),
-        ("mu-shift identity < 1e-10", shift_err < 1e-10, shift_err),
-        ("p_hat mass within 1e-8", mass_err < 1e-8, mass_err),
-        ("adjoint normalization within 1e-6", adjoint_err < 1e-6, adjoint_err),
-        ("boundary identity (trapezoid) within 1e-4", boundary < 1e-4, boundary),
-    ]
-
-
-def _verify_gre(rate, mu, model):
-    pair = spectral.equilibrium(rate, mu, step=0.05)
-    config = simulator.SimConfig(
-        rate=rate, mu=mu, f=0.0, t_end=100.0, dt=0.05, a_max=float(pair.grid[-1])
-    )
-    times = [0.0, 25.0, 50.0, 75.0, 100.0]
-    out = simulator.simulate(config, snapshot_times=times)
-    centers = out.final_profile.ages
-    adjoint = spectral.AgeProfile(centers, np.interp(centers, pair.grid, pair.phi))
-    values = [
-        spectral.gre_functional(spectral.AgeProfile(centers, snap), adjoint, pair.lam, t)
-        for t, snap in out.snapshots
-    ]
-    drift = max(abs(v / values[0] - 1.0) for v in values)
-    return [("entropy-weighted mass drift < 0.5% over 100 h", drift < 0.005, drift)]
-
-
-def _verify_imt_convergence(rate, mu, model):
-    t0 = max(model.m - 4.0 * model.sigma, 0.0)
-    windows = [t0 + model.m + k * model.sigma for k in (5.0, 10.0, 15.0)]
-    gaps = [simulator.imt_experiment(rate, mu, t0, w)[1] for w in windows]
-    checks = [
-        (f"L1 gap at T={windows[-1]:.1f} < 0.02", gaps[-1] < 0.02, gaps[-1]),
-        ("L1 gap decreases with T", gaps[0] > gaps[1] > gaps[2], tuple(gaps)),
-    ]
-    return checks
-
-
-def _verify_fraction(rate, mu, model):
-    checks = []
-    t0 = 20.0
-    for f in (0.0, 0.3, 0.6, 0.84):
-        config = simulator.SimConfig(rate=rate, mu=0.0, f=f, t_end=t0, dt=0.05)
-        frac = simulator.quiescent_fraction(config, t0)
-        checks.append((f"|F - f| < 1e-4 at f={f:g}, mu=0", abs(frac - f) < 1e-4, abs(frac - f)))
-    if mu > 0:
-        for f in (0.3, 0.84):
-            config = simulator.SimConfig(rate=rate, mu=mu, f=f, t_end=t0, dt=0.05)
-            frac = simulator.quiescent_fraction(config, t0)
-            checks.append(
-                (f"|F - f| < 0.01 at f={f:g}, mu={mu:g}", abs(frac - f) < 0.01, abs(frac - f))
-            )
-    return checks
-
-
-# verify suite name -> suite(rate, mu, model) returning (name, ok, value) checks
-SUITES = {
-    "eigen": _verify_eigen,
-    "gre": _verify_gre,
-    "imt-convergence": _verify_imt_convergence,
-    "fraction": _verify_fraction,
-}
 
 
 def cmd_verify(args) -> int:

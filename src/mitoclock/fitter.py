@@ -32,7 +32,8 @@ from .histogram import Histogram, Kind
 from .imt_models import FAMILIES, PARAMS, Model, reweighted_density, reweighted_mass
 
 SEED_ENV_VAR = "MITOCLOCK_SEED"
-DEFAULT_N_STARTS = 8
+N_STARTS = 8  # least-squares starts per fit: the default guess and seeded jitters of it
+MASS_TOLERANCE = 0.12  # largest |fitted mass - 1| mass_check passes
 
 # bounds keep every candidate evaluable
 _LOWER = {"beta0": 1e-6, "m": 0.0, "sigma": 1e-3, "mu": 0.0}
@@ -83,10 +84,10 @@ class MassCheck:
     deviation: float
 
 
-def mass_check(result: FitResult, tolerance: float = 0.12) -> MassCheck:
-    """Pass iff the fitted curve's total mass is within tolerance of 1."""
+def mass_check(result: FitResult) -> MassCheck:
+    """Pass iff the fitted curve's total mass is within MASS_TOLERANCE of 1."""
     deviation = abs(result.integral_i_tilde - 1.0)
-    return MassCheck(ok=deviation <= tolerance, deviation=deviation)
+    return MassCheck(ok=deviation <= MASS_TOLERANCE, deviation=deviation)
 
 
 def _model_from_theta(family: str, theta) -> Model:
@@ -98,7 +99,8 @@ def _default_init(family: str, h: Histogram) -> np.ndarray:
     heights = h.heights
     peak = heights.max()
     above = mids[heights > 0.05 * peak]
-    m0 = float(above[0]) if above.size else float(mids[0])
+    # one bin early: the gamma densities have a kink at m, and a start past it can stall
+    m0 = max(float(above[0]) - h.bin_width, 0.0) if above.size else float(mids[0])
     mean = float((mids * heights).sum() * h.bin_width)
     var = float((((mids - mean) ** 2) * heights).sum() * h.bin_width)
     sigma0 = max(0.5 * math.sqrt(max(var, 0.0)), 2.0 * _LOWER["sigma"])
@@ -107,9 +109,9 @@ def _default_init(family: str, h: Histogram) -> np.ndarray:
     return np.array([init[name] for name in PARAMS[family]])
 
 
-def _spread_starts(x0: np.ndarray, names, n_starts: int, rng) -> list[np.ndarray]:
+def _spread_starts(x0: np.ndarray, names, rng) -> list[np.ndarray]:
     starts = [x0]
-    for _ in range(n_starts - 1):
+    for _ in range(N_STARTS - 1):
         jitter = np.exp(rng.uniform(-0.7, 0.7, size=x0.size))
         theta = np.maximum(x0 * jitter, [_LOWER[n] for n in names])
         starts.append(theta)
@@ -120,14 +122,13 @@ def fit_imt(
     h: Histogram,
     family: str,
     init=None,
-    n_starts: int = DEFAULT_N_STARTS,
     seed: int | None = None,
     max_iter: int = 4000,
 ) -> FitResult:
     """Fit a reweighted histogram with the chosen family's reweighted density.
 
     Runs bounded least squares from `init` (or a default guess from the
-    histogram's moments) and `n_starts - 1` seeded jitters of it, and returns
+    histogram's moments) and `N_STARTS - 1` seeded jitters of it, and returns
     the lowest-cost answer.  `max_iter` caps the residual evaluations of each
     start, Jacobian columns excluded.  Raises FitConvergenceError (carrying
     the best result found) if no start converges, and emits a BoundaryWarning
@@ -162,7 +163,7 @@ def fit_imt(
     fits = [
         optimize.least_squares(residual, theta0, bounds=(lower, np.inf), xtol=1e-15,
                                ftol=1e-15, gtol=1e-15, max_nfev=max_iter)
-        for theta0 in _spread_starts(x0, names, n_starts, rng)
+        for theta0 in _spread_starts(x0, names, rng)
     ]
     best = min(fits, key=lambda res: res.cost)
 

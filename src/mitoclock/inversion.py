@@ -23,6 +23,7 @@ from .io import read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
 TAIL_BIAS_GUARD = 1e3  # denominator must exceed this multiple of the estimated missing tail
+TAIL_TOL = 1e-6  # times peak; the last value must be below this for the tail estimate
 
 
 def _missing_tail_estimate(ages: np.ndarray, values: np.ndarray) -> float:
@@ -58,13 +59,13 @@ def _missing_tail_estimate(ages: np.ndarray, values: np.ndarray) -> float:
     return last / rate * correction
 
 
-def invert_imt(ages, values, tail_tol: float = 1e-6) -> TabulatedRate:
+def invert_imt(ages, values) -> TabulatedRate:
     """Invert a tabulated IMT density into a tabulated division rate.
 
     The tail integral uses the composite trapezoid over the table plus the
     estimated mass beyond the last age (terminal decay rate continued), which
     requires the input to have decayed: values[-1] must be below
-    tail_tol * peak.  The returned table is truncated to ages where the
+    TAIL_TOL * peak.  The returned table is truncated to ages where the
     within-table integral both exceeds DENOMINATOR_FLOOR times the total mass
     and dominates the estimated missing tail by TAIL_BIAS_GUARD, so that
     uncertainty in the tail estimate cannot bias the quotient; a
@@ -82,10 +83,10 @@ def invert_imt(ages, values, tail_tol: float = 1e-6) -> TabulatedRate:
     peak = values.max()
     if peak <= 0:
         raise ValidationError("density is identically zero")
-    if values[-1] > tail_tol * peak:
+    if values[-1] > TAIL_TOL * peak:
         raise ValidationError(
             f"density has not decayed at the last age ({values[-1]:.3g} > "
-            f"{tail_tol:g} * peak); extend the table"
+            f"{TAIL_TOL:g} * peak); extend the table"
         )
 
     segments = 0.5 * (values[1:] + values[:-1]) * np.diff(ages)

@@ -31,6 +31,7 @@ from .spectral import AgeProfile
 
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
 MAX_STEPS = 10**7  # most time steps one simulate or imt_experiment run may take
+HAZARD_TOL = 1e-6  # imt_experiment: largest hazard at t0 that counts as no division yet
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,8 @@ class SimConfig:
             raise ValidationError("t_end must cover at least one step")
         if self.t_end / self.dt > MAX_STEPS:
             raise ValidationError(f"t_end / dt = {self.t_end / self.dt:.3g} steps > {MAX_STEPS}")
+        if self.a_max is not None:
+            spectral.check_cell_count(self.a_max, self.dt)
         if self.mu < 0:
             raise ValidationError(f"mu must be nonnegative, got {self.mu}")
         if self.mu_q is not None and self.mu_q < 0:
@@ -132,6 +135,7 @@ class _CellGrid:
     """Lockstep age cells with the per-step removal factors."""
 
     def __init__(self, rate, mu: float, dt: float, a_max: float):
+        spectral.check_cell_count(a_max, dt)
         n_cells = max(2, int(math.ceil(a_max / dt - 1e-9)))
         self.dt = dt
         self.centers = (np.arange(n_cells) + 0.5) * dt
@@ -262,8 +266,7 @@ def quiescent_fraction(config: SimConfig, t0: float) -> float:
     return float(out.Q[k] / denom)
 
 
-def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025,
-                   hazard_tol: float = 1e-6):
+def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     """Finite-window IMT density of a labeled cohort, and its L1 gap to the ideal.
 
     The cohort starts from the truncated equilibrium profile and evolves by
@@ -271,8 +274,9 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025,
     observable beta * p accumulates per age cell until time big_t and is
     normalized into the finite-window density I_T; the returned gap is
     integral |I_T - I_inf| against the ideal density on the same cells.
-    Requires the rate to vanish on [0, t0] (hazard at t0 below hazard_tol)
-    and big_t > t0, with big_t / dt at most MAX_STEPS.
+    Requires the rate to vanish on [0, t0] (hazard at t0 below HAZARD_TOL)
+    and big_t > t0, with big_t / dt at most MAX_STEPS and (big_t + t0) / dt
+    within spectral.MAX_CELLS.
     """
     if not (all(math.isfinite(v) for v in (t0, big_t, dt)) and dt > 0):
         raise ValidationError(f"t0, big_t and dt must be finite, dt > 0; got {t0}, {big_t}, {dt}")
@@ -280,10 +284,10 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025,
         raise ValidationError(f"observation window {big_t} must exceed t0 = {t0}")
     if big_t / dt > MAX_STEPS:
         raise ValidationError(f"big_t / dt = {big_t / dt:.3g} steps > {MAX_STEPS}")
-    if float(rate.hazard(t0)) > hazard_tol:
+    if float(rate.hazard(t0)) > HAZARD_TOL:
         raise ValidationError(
             f"division rate is not ~0 below t0 = {t0} "
-            f"(hazard {float(rate.hazard(t0)):.3g} > {hazard_tol:g})"
+            f"(hazard {float(rate.hazard(t0)):.3g} > {HAZARD_TOL:g})"
         )
     steps = int(round(big_t / dt))
     a_max = big_t + t0 + 2.0 * dt

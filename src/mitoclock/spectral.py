@@ -32,6 +32,7 @@ SURVIVAL_TOL = 1e-12  # divergence check: exp(-hazard) must fall below this
 LAMBDA_MAX = 10.0
 DEFAULT_STEP = 0.05
 QUADRATURE_REFINE = 4  # panel subdivisions in the renewal quadrature
+MAX_CELLS = 10**6  # most age cells (a_max / step) any grid may have
 
 
 class AgeProfile(NamedTuple):
@@ -95,7 +96,8 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
     Without an explicit a_max, the upper end starts at m + 12*sigma (closed
     forms) or the table end and is extended until division survival drops
     below SURVIVAL_TOL.  Raises ConfigurationError if the rate never
-    accumulates enough hazard (e.g. a rate that is identically zero).
+    accumulates enough hazard (e.g. a rate that is identically zero), and
+    ValidationError if the grid would have more than MAX_CELLS cells.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"step must be finite and positive, got {step}")
@@ -115,8 +117,15 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
                     "division survival never drops below tolerance; "
                     "rate does not diverge on any reachable grid"
                 )
+    check_cell_count(a_max, step)
     n = max(2, int(math.ceil(a_max / step - 1e-9)))
     return np.arange(n + 1) * step
+
+
+def check_cell_count(a_max: float, step: float) -> None:
+    """Raise ValidationError if an age grid of this extent and step exceeds MAX_CELLS."""
+    if not a_max / step <= MAX_CELLS:
+        raise ValidationError(f"a_max / step = {a_max / step:.3g} age cells > {MAX_CELLS}")
 
 
 def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,

@@ -18,7 +18,7 @@ import pytest
 
 import mitoclock as mc
 from mitoclock import spectral
-from mitoclock.spectral import AgeProfile
+from mitoclock.checks import SUITES, imt_windows
 
 FIT_ERFC = mc.Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
 FIT_ERFC_MU = mc.Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -198,18 +198,13 @@ def test_criterion_05_eigen_consistency():
 
 def test_criterion_06_quiescent_fraction_identity():
     started = time.perf_counter()
-    rate = mc.ClosedFormRate(FIT_ERFC_MU)
-    t0 = 20.0
-    worst_clean = 0.0
-    for f in (0.0, 0.3, 0.6, 0.84):
-        config = mc.SimConfig(rate=rate, mu=0.0, f=f, t_end=t0, dt=0.05)
-        worst_clean = max(worst_clean, abs(mc.quiescent_fraction(config, t0) - f))
-        assert worst_clean < 1e-4
-    worst_death = 0.0
-    for f in (0.3, 0.6, 0.84):
-        config = mc.SimConfig(rate=rate, mu=0.00333, f=f, t_end=t0, dt=0.05)
-        worst_death = max(worst_death, abs(mc.quiescent_fraction(config, t0) - f))
-        assert worst_death < 0.01
+    # f = 0, 0.3, 0.6, 0.84 without death, then 0.3, 0.6, 0.84 with mu = 0.00333
+    checks = SUITES["fraction"](mc.ClosedFormRate(FIT_ERFC_MU), FIT_ERFC_MU.mu, FIT_ERFC_MU)
+    assert len(checks) == 7
+    worst_clean = max(check.value for check in checks[:4])
+    assert worst_clean < 1e-4
+    worst_death = max(check.value for check in checks[4:])
+    assert worst_death < 0.01
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(
@@ -241,10 +236,9 @@ def test_criterion_07_treatment_delay():
 
 
 def test_criterion_08_observation_window_convergence():
-    rate = mc.ClosedFormRate(FIT_ERFC)
-    t0 = FIT_ERFC.m - 4.0 * FIT_ERFC.sigma
-    windows = [t0 + FIT_ERFC.m + k * FIT_ERFC.sigma for k in (5.0, 10.0, 15.0)]
-    gaps = [mc.imt_experiment(rate, 0.0, t0, w)[1] for w in windows]
+    _, decreasing = SUITES["imt-convergence"](mc.ClosedFormRate(FIT_ERFC), 0.0, FIT_ERFC)
+    gaps = decreasing.value
+    _, windows = imt_windows(FIT_ERFC)
     assert gaps[-1] < 0.02
     assert gaps[0] > gaps[1] > gaps[2]
     print(
@@ -267,24 +261,10 @@ def test_criterion_09_scheme_quality():
     assert np.all(out.final_profile.values >= 0)
 
     # weighted-mass conservation along the growing solution
-    rate = mc.ClosedFormRate(FIT_ERFC_MU)
-    pair = mc.equilibrium(rate, FIT_ERFC_MU.mu, step=0.05)
-    config = mc.SimConfig(
-        rate=rate, mu=FIT_ERFC_MU.mu, f=0.0, t_end=100.0, dt=0.05,
-        a_max=float(pair.grid[-1]),
-    )
-    times = [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
-    run = mc.simulate(config, snapshot_times=times)
-    centers = run.final_profile.ages
-    adjoint = AgeProfile(centers, np.interp(centers, pair.grid, pair.phi))
-    values = [
-        mc.gre_functional(AgeProfile(centers, snap), adjoint, pair.lam, t)
-        for t, snap in run.snapshots
-    ]
-    gre_drift = max(abs(v / values[0] - 1.0) for v in values)
+    drift, lowest = SUITES["gre"](mc.ClosedFormRate(FIT_ERFC_MU), FIT_ERFC_MU.mu, FIT_ERFC_MU)
+    gre_drift = drift.value
     assert gre_drift < 0.005
-    for _, snap in run.snapshots:
-        assert np.all(snap >= 0)
+    assert lowest.value >= 0
     print(
         f"criterion 9: PASS transport_drift={transport_drift:.1e} "
         f"gre_drift={gre_drift:.2e}"

@@ -51,9 +51,17 @@ def test_round_trip_recovery(model):
     assert result.residuals.shape == (N_BINS,)
 
 
-@pytest.mark.parametrize("model", TRUTHS, ids=lambda m: m.family)
-def test_noisy_fit_is_at_least_as_good_as_the_truth(model):
-    h = synthetic_histogram(model, noise=0.05, seed=21)
+NOISY_CASES = [pytest.param(model, 21, id=model.family) for model in TRUTHS] + [
+    # the first bin above 5 % of the peak has its midpoint just past m, the density's
+    # kink; starting m at that midpoint left every start in a worse local minimum
+    pytest.param(mc.Model(family="gamma1", m=16.824864251493057, sigma=1.6482745578592004),
+                 28, id="gamma1-kink"),
+]
+
+
+@pytest.mark.parametrize("model, noise_seed", NOISY_CASES)
+def test_noisy_fit_is_at_least_as_good_as_the_truth(model, noise_seed):
+    h = synthetic_histogram(model, noise=0.05, seed=noise_seed)
     truth_residuals = h.heights - np.asarray(reweighted_density(model, LAM, MIDPOINTS))
     result = fit_imt(h, model.family, seed=1)
     ssr = float(np.dot(result.residuals, result.residuals))

@@ -16,6 +16,7 @@ from mitoclock import (
     solve_lambda,
 )
 from mitoclock.simulator import MAX_STEPS
+from mitoclock.spectral import MAX_CELLS, build_grid
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
 FIT_ERFC = Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
@@ -94,6 +95,24 @@ def test_step_count_is_capped():
         SimConfig(rate=UntouchableRate(), mu=0.0, f=0.5, t_end=1e9, dt=1e-3)
     with pytest.raises(ValidationError, match="steps"):
         imt_experiment(UntouchableRate(), 0.0, 0.0, 1e9, dt=1e-3)
+
+
+class HazardFreeRate(UntouchableRate):
+    """No hazard anywhere, so imt_experiment reaches its cell grid; evaluating the rate fails."""
+
+    def hazard(self, a):
+        return 0.0
+
+
+def test_cell_count_is_capped():
+    # 1e7 and 5e6 age cells: the guard must fire before any array is allocated
+    assert MAX_CELLS < 5e6
+    with pytest.raises(ValidationError, match="cells"):
+        SimConfig(rate=UntouchableRate(), mu=0.0, f=0.5, t_end=1e-5, dt=1e-5, a_max=100.0)
+    with pytest.raises(ValidationError, match="cells"):
+        build_grid(UntouchableRate(), step=1e-5, a_max=100.0)
+    with pytest.raises(ValidationError, match="cells"):
+        imt_experiment(HazardFreeRate(), 0.0, 0.0, 1e5, dt=0.02)
 
 
 def test_pure_transport_conserves_mass():

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     BoundaryWarning,
@@ -134,6 +133,7 @@ def fit_imt(
     the best result found) if no start converges, and emits a BoundaryWarning
     when a fitted parameter is pinned at a bound.
     """
+    from scipy import optimize
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if h.kind is not Kind.REWEIGHTED:

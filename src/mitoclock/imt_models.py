@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy import special
 
 from .errors import UnsupportedVariantError, ValidationError
 
@@ -56,15 +54,21 @@ def erfc(z):
     Accepts scalars or arrays; absolute error is at machine level, far below
     the 1e-12 the fitting pipeline relies on.
     """
-    return special.erfc(z)
+    return _special().erfc(z)
+
+
+@lru_cache(maxsize=1)
+def _special():  # imported on first use, so that `import mitoclock` loads no scipy
+    from scipy import special
+    return special
 
 
 def erfc_integral(m: float, sigma: float, a):
     """Integral of erfc((m - a')/sigma) for a' from 0 to a, in closed form."""
     z0 = m / sigma
     z = (m - np.asarray(a, dtype=float)) / sigma
-    const = m * special.erfc(z0) - (sigma / _SQRT_PI) * np.exp(-z0 * z0)
-    return const - sigma * z * special.erfc(z) + (sigma / _SQRT_PI) * np.exp(-z * z)
+    const = m * erfc(z0) - (sigma / _SQRT_PI) * np.exp(-z0 * z0)
+    return const - sigma * z * erfc(z) + (sigma / _SQRT_PI) * np.exp(-z * z)
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def division_rate(model: Model, a):
         s = model.sigma
         return x * x / (s * (2 * s * s + 2 * s * x + x * x))
     if model.family in ("erfc", "erfc-mu"):
-        return model.beta0 * special.erfc((model.m - a) / model.sigma)
+        return model.beta0 * erfc((model.m - a) / model.sigma)
     raise UnsupportedVariantError(
         "the emg family has no closed-form division rate; "
         "sample its density and use inversion.invert_imt"
@@ -173,15 +177,16 @@ def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray) -> np.ndar
     pos = z > 0
     out = np.empty_like(z)
     zp = z[pos]
-    out[pos] = special.erfcx(zp) * np.exp(-((zp - bs) ** 2))
+    out[pos] = _special().erfcx(zp) * np.exp(-((zp - bs) ** 2))
     zn = z[~pos]
-    out[~pos] = special.erfc(zn) * np.exp(-bs * bs + 2.0 * bs * zn)
+    out[~pos] = erfc(zn) * np.exp(-bs * bs + 2.0 * bs * zn)
     out *= beta0
     return out[0] if scalar else out
 
 
 def _mass(f, m: float, sigma: float) -> float:
     """Integral of the scalar function f over [0, m + 40*sigma], split at m."""
+    from scipy import integrate
     a_max = m + 40.0 * sigma
     points = [m] if 0.0 < m < a_max else None
     value, _ = integrate.quad(f, 0.0, a_max, points=points, limit=200)

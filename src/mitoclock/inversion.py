@@ -15,10 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import TruncationWarning, ValidationError
-from .imt_models import Model, TabulatedRate
+from .imt_models import Model, TabulatedRate, erfc
 from .io import read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
@@ -123,7 +122,7 @@ def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> 
         raise ValidationError(f"need finite beta0, m and sigma > 0; got {beta0}, {m}, {sigma}")
     if rate.ages.size == 0:
         raise ValidationError("empty rate table")
-    candidate = beta0 * special.erfc((m - rate.ages) / sigma)
+    candidate = beta0 * erfc((m - rate.ages) / sigma)
     resid = rate.values - candidate
     ss_res = float(np.dot(resid, resid))
     centered = rate.values - rate.values.mean()
@@ -134,6 +133,7 @@ def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> 
 
 def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
     """Least-squares erfc-shaped rate closest to a tabulated one."""
+    from scipy import optimize
     ages, values = rate.ages, rate.values
     top = values.max()
     if top <= 0:
@@ -146,7 +146,7 @@ def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
 
     def residuals(theta):
         b0, m, s = theta
-        return b0 * special.erfc((m - ages) / s) - values
+        return b0 * erfc((m - ages) / s) - values
 
     sol = optimize.least_squares(
         residuals,

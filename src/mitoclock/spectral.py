@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigurationError, ValidationError
 from .io import write_columns
 
 SURVIVAL_TOL = 1e-12  # divergence check: exp(-hazard) must fall below this
 LAMBDA_MAX = 10.0
+MAX_ROOT_STEPS = 100  # regula falsi steps allowed before solve_lambda gives up
 DEFAULT_STEP = 0.05
 QUADRATURE_REFINE = 4  # panel subdivisions in the renewal quadrature
 MAX_CELLS = 10**6  # most age cells (a_max / step) any grid may have
@@ -149,17 +149,37 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
         )
 
     def g(lam):
-        return _renewal_value(beta, hazard, fine, mu, lam) - 1.0
+        value = _renewal_value(beta, hazard, fine, mu, lam) - 1.0
+        if not math.isfinite(value):
+            raise ConfigurationError(f"renewal function is {value} at lambda = {lam}")
+        return value
 
     lo = -mu  # g(-mu) = 1 - 2*survival > 0 by the divergence check
     hi = max(0.5, lo + 0.5)
-    while g(hi) > 0.0:
+    while (g_hi := g(hi)) > 0.0:
         hi = 2.0 * hi + 1.0
         if hi > LAMBDA_MAX:
             raise ConfigurationError(
                 f"no sign change up to lambda = {LAMBDA_MAX}; rate not divergent on grid"
             )
-    return float(optimize.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    # Regula falsi with Anderson-Bjorck weighting (BIT 13, 1973) on [a, b] = [lo, hi], b the
+    # newest point: when a new point lands on b's side, g_a is scaled down so that end moves
+    # too.  It stops once |b - a| <= 1e-14 + 8.9e-16*|b|, brentq's rule at xtol = 1e-14.
+    a, g_a, b, g_b = lo, g(lo), hi, g_hi
+    for _ in range(MAX_ROOT_STEPS):
+        lam = b - g_b * (b - a) / (g_b - g_a)
+        g_lam = g(lam)
+        if g_lam == 0.0:
+            return lam
+        if (g_lam > 0.0) == (g_b > 0.0):
+            scale = 1.0 - g_lam / g_b
+            g_a *= scale if scale > 0.0 else 0.5
+        else:
+            a, g_a = b, g_b
+        b, g_b = lam, g_lam
+        if abs(b - a) <= 1e-14 + 8.9e-16 * abs(b):
+            return b
+    raise ConfigurationError(f"growth rate not bracketed to tolerance in {MAX_ROOT_STEPS} steps")
 
 
 def renewal_residual(rate, mu: float, lam: float, grid: np.ndarray) -> float:

@@ -254,12 +254,21 @@ def test_full_pipeline_chains_through_files(tmp_path, data_dir, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_fraction_with_death_is_decided_by_the_closed_form(tmp_path, capsys):
+    # |F - f| is 0.0101 at f = 0.6 here: the quiescent pool decays, so F != f
+    model = {"family": "erfc-mu", "beta0": 0.2526, "m": 15.37, "sigma": 2.63, "mu": 0.0043}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["verify", str(path), "--suite", "fraction"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
-    # a death rate this large breaks the labeled-fraction approximation
-    heavy = dict(FITTED_MODEL, mu=0.05)
-    path = tmp_path / "heavy.json"
-    path.write_text(json.dumps(heavy))
-    assert main(["verify", str(path), "--suite", "fraction"]) == 1
+    # a rate that rises within one age step is too sharp for the trapezoid boundary identity
+    sharp = {"family": "gamma1", "m": 2.0, "sigma": 0.05}
+    path = tmp_path / "sharp.json"
+    path.write_text(json.dumps(sharp))
+    assert main(["verify", str(path), "--suite", "eigen"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -279,3 +288,40 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "fit-imt" in proc.stdout and "simulate" in proc.stdout
+
+
+IMPORT_PROBE = """
+import sys
+
+import mitoclock
+import mitoclock.cli
+
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+
+growth_csv, model_json, out = sys.argv[1:]
+assert not loaded("scipy"), loaded("scipy")
+assert mitoclock.cli.main(["fit-growth", growth_csv, "--out-prefix", out + "/growth"]) == 0
+assert not loaded("scipy"), loaded("scipy")
+commands = [["simulate", model_json, "--f", "0", "0.6", "--t-end", "10", "--out-prefix", out + "/s"]]
+commands += [["verify", model_json, "--suite", suite] for suite in mitoclock.cli.SUITES]
+for argv in commands:
+    assert mitoclock.cli.main(argv) == 0, argv
+    heavy = loaded("scipy.optimize", "scipy.integrate", "scipy.linalg")
+    assert not heavy, (argv, heavy)
+"""
+
+
+def test_commands_import_only_the_scipy_they_use(tmp_path, data_dir, model_json):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(data_dir / "growth_curve.csv"), str(model_json),
+         str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

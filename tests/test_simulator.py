@@ -15,6 +15,7 @@ from mitoclock import (
     simulate,
     solve_lambda,
 )
+from mitoclock.checks import predicted_fraction
 from mitoclock.simulator import MAX_STEPS
 from mitoclock.spectral import MAX_CELLS, build_grid
 
@@ -193,6 +194,15 @@ def test_quiescent_fraction_with_death_stays_close():
     frac = quiescent_fraction(config, 20.0)
     assert abs(frac - 0.84) < 0.01
     assert frac < 0.84  # deaths shave the labeled quiescent pool
+
+
+@pytest.mark.parametrize("mu_q", [None, 0.02])
+@pytest.mark.parametrize("mu", [0.0, 0.0043, 0.005, 0.01])
+def test_quiescent_fraction_matches_its_closed_form(mu, mu_q):
+    rate = ClosedFormRate(Model(family="erfc-mu", beta0=0.2526, m=15.37, sigma=2.63, mu=0.0043))
+    for f in (0.0, 0.3, 0.6, 0.84, 1.0):
+        config = SimConfig(rate=rate, mu=mu, f=f, t_end=20.0, dt=0.05, mu_q=mu_q)
+        assert abs(quiescent_fraction(config, 20.0) - predicted_fraction(config, 20.0)) < 1e-12
 
 
 def test_quiescent_fraction_horizon_check():

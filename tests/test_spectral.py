@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from mitoclock import (
     ClosedFormRate,
@@ -13,7 +14,7 @@ from mitoclock import (
     gre_functional,
     solve_lambda,
 )
-from mitoclock.spectral import AgeProfile, build_grid, renewal_residual
+from mitoclock.spectral import LAMBDA_MAX, AgeProfile, build_grid, renewal_residual
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
 
@@ -75,6 +76,46 @@ def test_renewal_value_is_decreasing_in_lambda():
     grid = build_grid(rate, step=0.05)
     values = [renewal_residual(rate, 0.00333, lam, grid) for lam in (-0.002, 0.0, 0.01, 0.02, 0.05, 0.1)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _seeded_models():
+    """13 seeded models for each (family, death rate): 208 in all."""
+    rng = np.random.default_rng(20)
+    for family in ("gamma1", "gamma2", "erfc", "erfc-mu"):
+        for mu in (0.0, 0.003, 0.01, 0.05):
+            for _ in range(13):
+                params = {"m": rng.uniform(5.0, 30.0), "sigma": rng.uniform(0.5, 5.0)}
+                if family.startswith("erfc"):
+                    params["beta0"] = rng.uniform(0.05, 0.5)
+                if family == "erfc-mu":
+                    params["mu"] = mu
+                yield Model(family=family, **params), mu
+
+
+def test_solve_lambda_matches_brentq():
+    # brentq at the tolerances solve_lambda stops at is the reference root;
+    # a coarse grid keeps the reference cheap and changes neither algorithm
+    for model, mu in _seeded_models():
+        rate = ClosedFormRate(model)
+        grid = build_grid(rate, step=0.2)
+        lam = solve_lambda(rate, mu, grid=grid)
+        reference = optimize.brentq(
+            lambda x: renewal_residual(rate, mu, x, grid), -mu, LAMBDA_MAX, xtol=1e-14, rtol=8.9e-16
+        )
+        assert abs(lam - reference) <= 2e-14, model
+        assert abs(renewal_residual(rate, mu, lam, grid)) <= 1e-12, model
+
+
+class _NanRate(ClosedFormRate):
+    """A divergent hazard with a rate that evaluates to NaN."""
+
+    def __call__(self, a):
+        return np.full(np.shape(a), np.nan)
+
+
+def test_non_finite_renewal_value_raises():
+    with pytest.raises(ConfigurationError, match="renewal function is nan"):
+        solve_lambda(_NanRate(FIT_ERFC_MU), 0.0)
 
 
 def test_zero_rate_rejected():

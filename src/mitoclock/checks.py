@@ -1,8 +1,8 @@
 """Verification suites: numerical identities a fitted model must satisfy.
 
-Each suite takes the division rate, the death rate and the model and returns
-its checks.  `mitoclock verify --suite NAME` prints them; the acceptance tests
-run the same suites and hold the returned values to their own tolerances.
+Each suite takes a closed-form model and returns its checks.  `mitoclock
+verify --suite NAME` prints them; the acceptance tests run the same suites
+and hold the returned values to their own tolerances.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import simulator, spectral
+from .imt_models import ClosedFormRate
+
+GAP_FLOOR = 1e-12  # imt-convergence: L1 gaps at or below this are rounding noise
 
 
 class Check(NamedTuple):
@@ -28,7 +31,8 @@ def imt_windows(model) -> tuple[float, list[float]]:
     return t0, [t0 + model.m + k * model.sigma for k in (5.0, 10.0, 15.0)]
 
 
-def _verify_eigen(rate, mu, model):
+def _verify_eigen(model):
+    rate, mu = ClosedFormRate(model), model.death_rate
     pair = spectral.equilibrium(rate, mu)
     grid = pair.grid
     residual = abs(spectral.renewal_residual(rate, mu, pair.lam, grid))
@@ -48,7 +52,8 @@ def _verify_eigen(rate, mu, model):
     ]
 
 
-def _verify_gre(rate, mu, model):
+def _verify_gre(model):
+    rate, mu = ClosedFormRate(model), model.death_rate
     pair = spectral.equilibrium(rate, mu, step=0.05)
     config = simulator.SimConfig(
         rate=rate, mu=mu, f=0.0, t_end=100.0, dt=0.05, a_max=float(pair.grid[-1])
@@ -69,12 +74,15 @@ def _verify_gre(rate, mu, model):
     ]
 
 
-def _verify_imt_convergence(rate, mu, model):
+def _verify_imt_convergence(model):
+    rate, mu = ClosedFormRate(model), model.death_rate
     t0, windows = imt_windows(model)
     gaps = [simulator.imt_experiment(rate, mu, t0, w)[1] for w in windows]
+    # a later gap may match or exceed an earlier one only when both are rounding noise
+    decreasing = all(b < a or max(a, b) <= GAP_FLOOR for a, b in zip(gaps, gaps[1:]))
     return [
         Check(f"L1 gap at T={windows[-1]:.1f} < 0.02", gaps[-1] < 0.02, gaps[-1]),
-        Check("L1 gap decreases with T", gaps[0] > gaps[1] > gaps[2], tuple(gaps)),
+        Check("L1 gap decreases with T", decreasing, tuple(gaps)),
     ]
 
 
@@ -92,7 +100,8 @@ def predicted_fraction(config, t0: float) -> float:
     return config.f * s / (config.f * s + (1.0 - config.f) * total)
 
 
-def _verify_fraction(rate, mu, model):
+def _verify_fraction(model):
+    rate, mu = ClosedFormRate(model), model.death_rate
     # F == f without death; with death the quiescent pool decays, so F must
     # match predicted_fraction instead, and the value shown stays |F - f|
     cases = [(0.0, f) for f in (0.0, 0.3, 0.6, 0.84)]
@@ -113,7 +122,7 @@ def _verify_fraction(rate, mu, model):
     return checks
 
 
-# verify suite name -> suite(rate, mu, model) returning its list of Checks
+# verify suite name -> suite(model) returning its list of Checks
 SUITES = {
     "eigen": _verify_eigen,
     "gre": _verify_gre,

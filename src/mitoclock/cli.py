@@ -91,8 +91,7 @@ def cmd_fit_imt(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    ages, values = read_columns(args.imt_csv, 2)
-    rate = invert_imt(ages, values)
+    rate = invert_imt(*read_columns(args.imt_csv, 2))
     prefix = _prefix(args, args.imt_csv)
     write_rate_csv(rate, f"{prefix}_beta.csv")
     model, comparison = best_erfc_fit(rate)
@@ -143,7 +142,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _read_model(args.model_json)
-    checks = SUITES[args.suite](ClosedFormRate(model), model.death_rate, model)
+    checks = SUITES[args.suite](model)
     all_ok = True
     for name, ok, value in checks:
         all_ok = all_ok and ok

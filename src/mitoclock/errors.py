@@ -5,7 +5,11 @@ class MitoclockError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(MitoclockError, ValueError):
+class ValidationError(MitoclockError, ValueError):
+    """Input violates a documented precondition."""
+
+
+class ParseError(ValidationError):
     """A data file could not be parsed; carries the offending line number."""
 
     def __init__(self, message, line_number=None):
@@ -13,10 +17,6 @@ class ParseError(MitoclockError, ValueError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-
-
-class ValidationError(MitoclockError, ValueError):
-    """Input violates a documented precondition."""
 
 
 class StateError(MitoclockError, ValueError):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .histogram import Histogram, Kind
 from .imt_models import FAMILIES, PARAMS, Model, reweighted_density, reweighted_mass
+from .io import r_squared
 
 SEED_ENV_VAR = "MITOCLOCK_SEED"
 N_STARTS = 8  # least-squares starts per fit: the default guess and seeded jitters of it
@@ -169,14 +170,10 @@ def fit_imt(
 
     model = _model_from_theta(family, best.x)
     residuals = -best.fun
-    ss_res = float(np.dot(residuals, residuals))
-    centered = heights - heights.mean()
-    ss_tot = float(np.dot(centered, centered))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
 
     result = FitResult(
         model=model,
-        r_squared=r_squared,
+        r_squared=r_squared(heights, residuals),
         integral_i_tilde=reweighted_mass(model, lam),
         lambda_used=lam,
         residuals=residuals,

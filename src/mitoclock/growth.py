@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .io import read_columns
+from .io import r_squared, read_columns
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,9 @@ def fit_growth(series: GrowthSeries) -> GrowthFit:
     dt = t - t_mean
     lam = float(np.dot(dt, y - y_mean) / np.dot(dt, dt))
     intercept = float(y_mean - lam * t_mean)
-    residuals = y - (intercept + lam * t)
-    ss_res = float(np.dot(residuals, residuals))
-    ss_tot = float(np.dot(y - y_mean, y - y_mean))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
     doubling = math.log(2.0) / lam if lam > 0 else None
-    return GrowthFit(lam=lam, intercept=intercept, r_squared=r_squared, doubling_time=doubling)
+    fit_r2 = r_squared(y, y - (intercept + lam * t))
+    return GrowthFit(lam=lam, intercept=intercept, r_squared=fit_r2, doubling_time=doubling)
 
 
 def load_growth_csv(path) -> GrowthSeries:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParseError, StateError, ValidationError
+from .errors import DegenerateInputError, StateError, ValidationError
+from .io import read_columns
 
 NORMALIZATION_TOL = 1e-9
 
@@ -44,10 +45,8 @@ class Histogram:
             raise ValidationError(f"bin width must be positive, got {self.bin_width}")
         if heights.ndim != 1 or heights.size < 2:
             raise ValidationError("histogram needs at least 2 bins")
-        if not np.all(np.isfinite(heights)):
-            raise ValidationError("histogram heights must be finite")
-        if np.any(heights < 0):
-            raise ValidationError("histogram heights must be nonnegative")
+        if not (np.isfinite(heights).all() and (heights >= 0).all()):
+            raise ValidationError("histogram heights must be finite and nonnegative")
         if (self.kind is Kind.REWEIGHTED) != (self.lambda_used is not None):
             raise ValidationError("lambda_used is set if and only if kind is REWEIGHTED")
 
@@ -67,33 +66,9 @@ class Histogram:
 
 
 def load_histogram(path, bin_width: float) -> Histogram:
-    """Read one bin height per line ('#' comments ignored) as raw counts.
-
-    Raises ParseError with the 1-based line number on malformed rows and
-    ValidationError on negative values or an empty file.
-    """
-    if bin_width <= 0:
-        raise ValidationError(f"bin width must be positive, got {bin_width}")
-    heights = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ParseError(f"could not parse {line!r} as a number", lineno) from None
-            if not np.isfinite(value):
-                raise ParseError(f"non-finite value {line!r}", lineno)
-            if value < 0:
-                raise ValidationError(f"line {lineno}: negative bin height {value}")
-            heights.append(value)
-    if not heights:
-        raise ValidationError(f"no data rows in {path}")
-    if len(heights) < 2:
-        raise ValidationError(f"need at least 2 bins, got {len(heights)} in {path}")
-    return Histogram(bin_width=bin_width, heights=np.array(heights), kind=Kind.RAW_COUNTS)
+    """Raw counts from a one-column CSV of bin heights, read by io.read_columns."""
+    (heights,) = read_columns(path, 1)
+    return Histogram(bin_width=bin_width, heights=heights, kind=Kind.RAW_COUNTS)
 
 
 def normalize(h: Histogram) -> Histogram:

@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedVariantError, ValidationError
+from .io import check_table
 
 PARAMS = {
     "gamma1": ("m", "sigma"),
@@ -266,14 +267,7 @@ class TabulatedRate:
     """
 
     def __init__(self, ages, values):
-        ages = np.asarray(ages, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if ages.ndim != 1 or ages.shape != values.shape or ages.size < 2:
-            raise ValidationError("rate table needs matching 1-d arrays with >= 2 rows")
-        if np.any(np.diff(ages) <= 0):
-            raise ValidationError("rate table ages must be strictly increasing")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValidationError("rate table values must be finite and nonnegative")
+        ages, values = check_table(ages, values, 2, "rate table")
         self.ages = ages
         self.values = values
         inner = np.concatenate(

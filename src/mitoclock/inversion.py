@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TruncationWarning, ValidationError
 from .imt_models import Model, TabulatedRate, erfc
-from .io import read_columns, write_columns
+from .io import check_table, r_squared, read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
 TAIL_BIAS_GUARD = 1e3  # denominator must exceed this multiple of the estimated missing tail
@@ -71,14 +71,7 @@ def invert_imt(ages, values) -> TabulatedRate:
     TruncationWarning reports the last reliable age if that happens before
     the end of the table.
     """
-    ages = np.asarray(ages, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ages.ndim != 1 or ages.shape != values.shape or ages.size < 3:
-        raise ValidationError("need matching 1-d arrays with at least 3 samples")
-    if np.any(np.diff(ages) <= 0):
-        raise ValidationError("ages must be strictly increasing")
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise ValidationError("density values must be finite and nonnegative")
+    ages, values = check_table(ages, values, 3, "density table")
     peak = values.max()
     if peak <= 0:
         raise ValidationError("density is identically zero")
@@ -120,15 +113,9 @@ def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> 
     """Compare a tabulated rate against beta0*erfc((m - a)/sigma) on its grid."""
     if not (np.isfinite([beta0, m, sigma]).all() and sigma > 0):
         raise ValidationError(f"need finite beta0, m and sigma > 0; got {beta0}, {m}, {sigma}")
-    if rate.ages.size == 0:
-        raise ValidationError("empty rate table")
     candidate = beta0 * erfc((m - rate.ages) / sigma)
     resid = rate.values - candidate
-    ss_res = float(np.dot(resid, resid))
-    centered = rate.values - rate.values.mean()
-    ss_tot = float(np.dot(centered, centered))
-    r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    return ErfcComparison(r_squared=r_squared, max_abs_err=float(np.abs(resid).max()))
+    return ErfcComparison(r_squared(rate.values, resid), float(np.abs(resid).max()))
 
 
 def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:

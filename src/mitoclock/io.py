@@ -1,10 +1,13 @@
-"""Numeric CSV tables, one row per line: the reader and the writer for every table.
+"""One CSV reader, one writer and one check for every table a user hands in or gets back.
 
-Cells are written as `repr(float)`, which reads back exactly.  Histograms
-keep their own one-column reader, `histogram.load_histogram`.
+`write_columns` writes cells as `repr(float)`, which `read_columns` reads back
+exactly.  Rate, density and initial-profile tables pass `check_table`, from a
+file or not.  `r_squared` is the goodness of fit every fit reports.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,8 +18,8 @@ def read_columns(path, n_columns: int) -> tuple[np.ndarray, ...]:
     """One 1-d array per column of a numeric CSV with n_columns columns.
 
     Skips blank lines, '#' comments and a non-numeric first row (a header).
-    Raises ParseError with the 1-based line number on a malformed row and
-    ValidationError when the file has no data rows.
+    Raises ParseError with the 1-based line number on a malformed row or a
+    non-finite cell, and ValidationError when the file has no data rows.
     """
     rows = []
     header_allowed = True
@@ -31,10 +34,14 @@ def read_columns(path, n_columns: int) -> tuple[np.ndarray, ...]:
                     f"expected {n_columns} comma-separated columns, got {line!r}", lineno
                 )
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 if not header_allowed:
                     raise ParseError(f"could not parse {line!r}", lineno) from None
+            else:
+                if not all(map(math.isfinite, row)):
+                    raise ParseError(f"non-finite value in {line!r}", lineno)
+                rows.append(row)
             header_allowed = False
     if not rows:
         raise ValidationError(f"no data rows in {path}")
@@ -47,3 +54,28 @@ def write_columns(path, names, columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
+def check_table(ages, values, min_rows: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (ages, values) table as float arrays, or ValidationError naming `what`.
+
+    The arrays must be 1-d, of one length >= min_rows, with finite strictly
+    increasing ages and finite nonnegative values.
+    """
+    ages, values = np.asarray(ages, dtype=float), np.asarray(values, dtype=float)
+    if ages.ndim != 1 or ages.shape != values.shape or ages.size < min_rows:
+        raise ValidationError(f"{what} needs 1-d ages and values of one length >= {min_rows}, "
+                              f"got shapes {ages.shape} and {values.shape}")
+    if not (np.isfinite(ages).all() and (np.diff(ages) > 0).all()):
+        raise ValidationError(f"{what} ages must be finite and strictly increasing")
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValidationError(f"{what} values must be finite and nonnegative")
+    return ages, values
+
+
+def r_squared(observed, residuals) -> float:
+    """1 - SS_res/SS_tot of a fit to observed; 1 when both sums are zero."""
+    ss_res = float(np.dot(residuals, residuals))
+    centered = observed - observed.mean()
+    ss_tot = float(np.dot(centered, centered))
+    return 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot

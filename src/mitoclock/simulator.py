@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectral
 from .errors import GridTooSmallError, ValidationError
-from .io import write_columns
+from .io import check_table, write_columns
 from .spectral import AgeProfile
 
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
@@ -61,14 +61,9 @@ class CustomProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        ages, values = np.asarray(self.ages, dtype=float), np.asarray(self.values, dtype=float)
-        if ages.ndim != 1 or ages.shape != values.shape or ages.size < 2:
-            raise ValidationError("initial profile needs 1-D ages and values of one length >= 2, "
-                                  f"got shapes {ages.shape} and {values.shape}")
-        if not (np.isfinite(ages).all() and (np.diff(ages) > 0).all()):
-            raise ValidationError("initial profile ages must be finite and strictly increasing")
-        if not (np.isfinite(values).all() and (values >= 0).all()):
-            raise ValidationError("initial profile values must be finite and nonnegative")
+        ages, values = check_table(self.ages, self.values, 2, "initial profile")
+        object.__setattr__(self, "ages", ages)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -181,10 +176,9 @@ def _initial_masses(config: SimConfig, cells: _CellGrid) -> np.ndarray:
     if isinstance(init, TruncatedEquilibrium):
         return _equilibrium_masses(config.rate, config.mu, cells, init.t0)
     if isinstance(init, CustomProfile):
-        ages = np.asarray(init.ages, dtype=float)
-        values = np.asarray(init.values, dtype=float)
+        ages = init.ages
         inside = (cells.centers >= ages[0]) & (cells.centers <= ages[-1])
-        density = np.where(inside, np.interp(cells.centers, ages, values), 0.0)
+        density = np.where(inside, np.interp(cells.centers, ages, init.values), 0.0)
         return density * cells.dt
     raise ValidationError(f"unknown initial condition {init!r}")
 

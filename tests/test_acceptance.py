@@ -202,7 +202,7 @@ def test_criterion_05_eigen_consistency():
 def test_criterion_06_quiescent_fraction_identity():
     started = time.perf_counter()
     # f = 0, 0.3, 0.6, 0.84 without death, then 0.3, 0.6, 0.84 with mu = 0.00333
-    checks = SUITES["fraction"](mc.ClosedFormRate(FIT_ERFC_MU), FIT_ERFC_MU.mu, FIT_ERFC_MU)
+    checks = SUITES["fraction"](FIT_ERFC_MU)
     assert len(checks) == 7
     worst_clean = max(check.value for check in checks[:4])
     assert worst_clean < 1e-4
@@ -239,7 +239,7 @@ def test_criterion_07_treatment_delay():
 
 
 def test_criterion_08_observation_window_convergence():
-    _, decreasing = SUITES["imt-convergence"](mc.ClosedFormRate(FIT_ERFC), 0.0, FIT_ERFC)
+    _, decreasing = SUITES["imt-convergence"](FIT_ERFC)
     gaps = decreasing.value
     _, windows = imt_windows(FIT_ERFC)
     assert gaps[-1] < 0.02
@@ -264,7 +264,7 @@ def test_criterion_09_scheme_quality():
     assert np.all(out.final_profile.values >= 0)
 
     # weighted-mass conservation along the growing solution
-    drift, lowest = SUITES["gre"](mc.ClosedFormRate(FIT_ERFC_MU), FIT_ERFC_MU.mu, FIT_ERFC_MU)
+    drift, lowest = SUITES["gre"](FIT_ERFC_MU)
     gre_drift = drift.value
     assert gre_drift < 0.005
     assert lowest.value >= 0

@@ -138,6 +138,20 @@ def test_invert_emg_reports_erfc_agreement(tmp_path):
     assert summary["r_squared"] >= 0.9999
 
 
+@pytest.mark.parametrize("bad_row", ["60.0,nan", "nan,0.0", "inf,0.0"])
+def test_invert_non_finite_cell_is_usage_error(tmp_path, capsys, bad_row):
+    model = mc.Model(family="gamma1", m=17.0, sigma=2.0)
+    ages = np.arange(0.0, 60.0, 0.01)
+    dens = np.asarray(mc.imt_density(model, ages))
+    src = tmp_path / "imt.csv"
+    rows = [f"{float(a)!r},{float(d)!r}" for a, d in zip(ages, dens)]
+    src.write_text("age,I\n" + "\n".join(rows) + f"\n{bad_row}\n")
+    assert main(["invert", str(src), "--out-prefix", str(tmp_path / "inv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {len(rows) + 2}: non-finite") and "Traceback" not in err
+    assert not (tmp_path / "inv_beta.csv").exists()
+
+
 def test_simulate_dose_sweep(tmp_path, model_json, capsys):
     prefix = tmp_path / "sweep"
     code = main(
@@ -219,8 +233,25 @@ def test_verify_suites_pass(suite, model_json, capsys):
     assert main(["verify", str(model_json), "--suite", suite]) == 0
     printed = [line.split("  ")[:2] for line in capsys.readouterr().out.splitlines()]
     model = mc.model_from_dict(FITTED_MODEL)
-    checks = SUITES[suite](mc.ClosedFormRate(model), model.death_rate, model)
+    checks = SUITES[suite](model)
     assert printed == [["PASS", check.name] for check in checks]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "erfc", "beta0": 2.0, "m": 20.0, "sigma": 0.05},
+        {"family": "gamma1", "m": 2.0, "sigma": 0.05},
+    ],
+    ids=["erfc", "gamma1"],
+)
+def test_imt_convergence_passes_once_the_gaps_are_rounding_noise(tmp_path, capsys, model):
+    # both models converge within the first window: their three L1 gaps are all
+    # below 1e-13 and differ only in rounding, so the suite must not call them rising
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["verify", str(path), "--suite", "imt-convergence"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_full_pipeline_chains_through_files(tmp_path, data_dir, capsys):

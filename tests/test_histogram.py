@@ -54,6 +54,22 @@ def test_load_malformed_row_reports_line_number(tmp_path):
         load_histogram(path, bin_width=1.0)
 
 
+def test_load_skips_a_header_row(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("# counts per bin\ncount\n1\n3\n")
+    h = load_histogram(path, bin_width=0.5)
+    np.testing.assert_array_equal(h.heights, [1.0, 3.0])
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_load_non_finite_cell_reports_line_number(tmp_path, cell):
+    path = tmp_path / "h.csv"
+    path.write_text(f"# counts\n1\n{cell}\n2\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_histogram(path, bin_width=1.0)
+    assert excinfo.value.line_number == 3
+
+
 def test_load_empty_file_rejected(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("# nothing here\n")

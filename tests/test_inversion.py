@@ -181,6 +181,17 @@ def test_rate_csv_reader_keeps_every_data_row(tmp_path, text):
     np.testing.assert_array_equal(rate.values, [0.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_rate_csv_reader_rejects_a_non_finite_age(tmp_path, cell, row):
+    ages = ["0.0", "1.0", "2.0"]
+    ages[row] = cell
+    path = tmp_path / "beta.csv"
+    path.write_text("age,beta\n" + "".join(f"{a},0.5\n" for a in ages))
+    with pytest.raises(ValidationError, match=f"line {row + 2}"):
+        read_rate_csv(path)
+
+
 def test_best_erfc_fit_recovers_exact_parameters():
     ages = np.linspace(0.0, 60.0, 500)
     values = 0.15 * special.erfc((24.0 - ages) / 3.2)

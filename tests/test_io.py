@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mitoclock import ParseError, ValidationError
-from mitoclock.io import read_columns, write_columns
+from mitoclock.io import check_table, r_squared, read_columns, write_columns
 
 
 def test_written_cells_read_back_exactly(tmp_path):
@@ -26,8 +26,14 @@ def test_reader_skips_comments_blank_lines_and_one_header(tmp_path):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("t,N\n0,100\nx,120\n", 3), ("t,N\nunit,count\n0,100\n", 2), ("0,100\n5,120,7\n", 2)],
-    ids=["bad-cell", "second-header", "extra-column"],
+    [
+        ("t,N\n0,100\nx,120\n", 3),
+        ("t,N\nunit,count\n0,100\n", 2),
+        ("0,100\n5,120,7\n", 2),
+        ("t,N\n0,100\n# a comment\n5,nan\n", 4),
+        ("inf,100\n5,120\n", 1),
+    ],
+    ids=["bad-cell", "second-header", "extra-column", "nan-cell", "inf-first-cell"],
 )
 def test_reader_reports_the_bad_line(tmp_path, text, line):
     path = tmp_path / "t.csv"
@@ -43,3 +49,16 @@ def test_reader_rejects_a_file_without_data_rows(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValidationError):
         read_columns(path, 2)
+
+
+def test_check_table_returns_float_arrays():
+    ages, values = check_table([0, 1, 2], (0, 3, 0), 3, "table")
+    assert ages.dtype == values.dtype == np.float64
+    np.testing.assert_array_equal(values, [0.0, 3.0, 0.0])
+
+
+def test_r_squared():
+    observed = np.array([1.0, 2.0, 3.0])
+    assert r_squared(observed, np.array([0.0, 1.0, 0.0])) == 0.5
+    # an exact fit to constant data explains everything there is
+    assert r_squared(np.array([2.0, 2.0]), np.zeros(2)) == 1.0

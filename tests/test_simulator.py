@@ -11,6 +11,7 @@ from mitoclock import (
     TruncatedEquilibrium,
     ValidationError,
     imt_experiment,
+    invert_imt,
     quiescent_fraction,
     simulate,
     solve_lambda,
@@ -45,23 +46,36 @@ def test_config_validation():
         TruncatedEquilibrium(-1.0)
 
 
-@pytest.mark.parametrize(
-    "ages, values",
-    [
-        ([0.0, 1.0, 2.0], [0.0, float("nan"), 0.0]),
-        ([0.0, float("inf")], [0.1, 0.1]),
-        ([2.0, 1.0, 0.0], [0.1, 0.1, 0.1]),
-        ([0.0, 1.0, 1.0], [0.1, 0.1, 0.1]),
-        ([0.0, 1.0, 2.0], [0.1, 0.1]),
-        ([0.0, 1.0], [0.1, -0.1]),
-        ([1.0], [0.1]),
-    ],
-    ids=["nan-value", "inf-age", "decreasing", "repeated-age", "length-mismatch", "negative",
-         "single-point"],
-)
+NAN, INF = float("nan"), float("inf")
+# bad (ages, values) tables; every constructor of a table runs the one io.check_table
+BAD_TABLES = {
+    "nan-value": ([0.0, 1.0, 2.0], [0.0, NAN, 0.0]),
+    "inf-age": ([0.0, INF], [0.1, 0.1]),
+    "decreasing": ([2.0, 1.0, 0.0], [0.1, 0.1, 0.1]),
+    "repeated-age": ([0.0, 1.0, 1.0], [0.1, 0.1, 0.1]),
+    "length-mismatch": ([0.0, 1.0, 2.0], [0.1, 0.1]),
+    "negative": ([0.0, 1.0], [0.1, -0.1]),
+    "single-point": ([1.0], [0.1]),
+    "nan-first-age": ([NAN, 1.0, 2.0], [0.1, 0.2, 0.0]),
+    "nan-middle-age": ([0.0, NAN, 2.0], [0.1, 0.2, 0.0]),
+    "nan-last-age": ([0.0, 1.0, NAN], [0.1, 0.2, 0.0]),
+    "inf-first-age": ([-INF, 1.0, 2.0], [0.1, 0.2, 0.0]),
+    "inf-middle-age": ([0.0, INF, 2.0], [0.1, 0.2, 0.0]),
+    "inf-last-age": ([0.0, 1.0, INF], [0.1, 0.2, 0.0]),
+}
+
+
+@pytest.mark.parametrize("ages, values", BAD_TABLES.values(), ids=BAD_TABLES)
 def test_custom_profile_validation(ages, values):
     with pytest.raises(ValidationError):
         CustomProfile(np.array(ages), np.array(values))
+
+
+@pytest.mark.parametrize("ages, values", BAD_TABLES.values(), ids=BAD_TABLES)
+@pytest.mark.parametrize("build", [TabulatedRate, invert_imt], ids=["rate", "density"])
+def test_rate_and_density_tables_share_the_profile_check(build, ages, values):
+    with pytest.raises(ValidationError):
+        build(np.array(ages), np.array(values))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

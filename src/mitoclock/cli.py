@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,18 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except MitoclockError as exc:
-        if isinstance(exc, ValueError):
+    # one line per warning; the filters stay as set, so -W error still raises
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except MitoclockError as exc:
+            if isinstance(exc, ValueError):
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            # numerical failure: ConfigurationError, FitConvergenceError, ...
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
+            return 1
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # numerical failure: ConfigurationError, FitConvergenceError, ...
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -11,13 +11,14 @@ the table `PARAMS` below lists each family's parameters in fitting order:
 
 Every family provides the IMT density `imt_density` and its growth-rate
 reweighted form `reweighted_density`.  Each closed-form family (all except
-`emg`) is defined by its division rate (`division_rate`) and that rate's
-integral (`cumulative_hazard`); both densities follow from these through
-the hazard identity: the probability that a cell has not divided by age a
-is exp(-cumulative_hazard(a)), so the density of ages at division is
-rate(a) * exp(-hazard(a) - mu*a), normalized.  `emg` is defined by its
-density instead; its rate must be recovered numerically through the
-`inversion` module.
+`emg`) is one entry of the table `_CLOSED_FORMS`: a function that returns
+its division rate (`division_rate`) and that rate's integral
+(`cumulative_hazard`) together, from one evaluation.  Both densities follow
+from these through the hazard identity: the probability that a cell has not
+divided by age a is exp(-cumulative_hazard(a)), so the density of ages at
+division is rate(a) * exp(-hazard(a) - mu*a), normalized.  `emg` has no
+entry: it is defined by its density, and its rate must be recovered
+numerically through the `inversion` module.
 
 Throughout, ages and times are in hours, rates in 1/hour.
 """
@@ -66,10 +67,15 @@ def _special():  # imported on first use, so that `import mitoclock` loads no sc
 
 def erfc_integral(m: float, sigma: float, a):
     """Integral of erfc((m - a')/sigma) for a' from 0 to a, in closed form."""
-    z0 = m / sigma
     z = (m - np.asarray(a, dtype=float)) / sigma
+    return _erfc_integral(m, sigma, z, erfc(z))
+
+
+def _erfc_integral(m: float, sigma: float, z, erfc_z):
+    """erfc_integral at the ages where z = (m - a)/sigma, given erfc_z = erfc(z)."""
+    z0 = m / sigma
     const = m * erfc(z0) - (sigma / _SQRT_PI) * np.exp(-z0 * z0)
-    return const - sigma * z * erfc(z) + (sigma / _SQRT_PI) * np.exp(-z * z)
+    return const - sigma * z * erfc_z + (sigma / _SQRT_PI) * np.exp(-z * z)
 
 
 @dataclass(frozen=True)
@@ -128,44 +134,52 @@ def model_from_json(text: str) -> Model:
     return model_from_dict(payload)
 
 
+def _gamma1(model: Model, a: np.ndarray):
+    x = np.maximum(a - model.m, 0.0)
+    s = model.sigma
+    h = x / s
+    return x / (s * (s + x)), h - np.log1p(h)
+
+
+def _gamma2(model: Model, a: np.ndarray):
+    x = np.maximum(a - model.m, 0.0)
+    s = model.sigma
+    h = x / s
+    return x * x / (s * (2 * s * s + 2 * s * x + x * x)), h - np.log1p(h * (2.0 + h) / 2.0)
+
+
+def _erfc(model: Model, a: np.ndarray):
+    z = (model.m - a) / model.sigma
+    erfc_z = erfc(z)
+    return model.beta0 * erfc_z, model.beta0 * _erfc_integral(model.m, model.sigma, z, erfc_z)
+
+
+# family -> (model, ages) -> (division rate, cumulative hazard); emg has no closed form
+_CLOSED_FORMS = {"gamma1": _gamma1, "gamma2": _gamma2, "erfc": _erfc, "erfc-mu": _erfc}
+
+
+def _closed_form(model: Model):
+    try:
+        return _CLOSED_FORMS[model.family]
+    except KeyError:
+        raise UnsupportedVariantError(
+            f"the {model.family} family has no closed-form division rate or hazard; "
+            "sample its density and use inversion.invert_imt"
+        ) from None
+
+
 def division_rate(model: Model, a):
     """Age-dependent division rate beta(a), in closed form.
 
     Not available for the emg family, whose rate has no closed form;
     recover it numerically with inversion.invert_imt instead.
     """
-    a = np.asarray(a, dtype=float)
-    if model.family == "gamma1":
-        x = np.maximum(a - model.m, 0.0)
-        s = model.sigma
-        return x / (s * (s + x))
-    if model.family == "gamma2":
-        x = np.maximum(a - model.m, 0.0)
-        s = model.sigma
-        return x * x / (s * (2 * s * s + 2 * s * x + x * x))
-    if model.family in ("erfc", "erfc-mu"):
-        return model.beta0 * erfc((model.m - a) / model.sigma)
-    raise UnsupportedVariantError(
-        "the emg family has no closed-form division rate; "
-        "sample its density and use inversion.invert_imt"
-    )
+    return _closed_form(model)(model, np.asarray(a, dtype=float))[0]
 
 
 def cumulative_hazard(model: Model, a):
     """Integral of the division rate from 0 to a, in closed form."""
-    a = np.asarray(a, dtype=float)
-    if model.family == "gamma1":
-        x = np.maximum(a - model.m, 0.0) / model.sigma
-        return x - np.log1p(x)
-    if model.family == "gamma2":
-        x = np.maximum(a - model.m, 0.0) / model.sigma
-        return x - np.log1p(x * (2.0 + x) / 2.0)
-    if model.family in ("erfc", "erfc-mu"):
-        return model.beta0 * erfc_integral(model.m, model.sigma, a)
-    raise UnsupportedVariantError(
-        "the emg family has no closed-form hazard; "
-        "sample its density and use inversion.invert_imt"
-    )
+    return _closed_form(model)(model, np.asarray(a, dtype=float))[1]
 
 
 def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray) -> np.ndarray:
@@ -194,15 +208,20 @@ def _mass(f, m: float, sigma: float) -> float:
     return value
 
 
-def _hazard_density(model: Model, a: np.ndarray, decay: float) -> np.ndarray:
-    """rate(a) * exp(-hazard(a) - decay*a): the identity behind every closed-form family."""
-    return division_rate(model, a) * np.exp(-cumulative_hazard(model, a) - decay * a)
+def _decayed_density(model: Model, a, decay: float) -> np.ndarray:
+    """rate(a)*exp(-hazard(a) - decay*a) from the family's table entry; emg: I(a)*exp(-decay*a)."""
+    a = np.asarray(a, dtype=float)
+    closed_form = _CLOSED_FORMS.get(model.family)
+    if closed_form is None:
+        return _emg_density(model.beta0, model.m, model.sigma, a) * np.exp(-decay * a)
+    rate, hazard = closed_form(model, a)
+    return rate * np.exp(-hazard - decay * a)
 
 
 @lru_cache(maxsize=256)
 def _death_norm(model: Model) -> float:
     """Normalizing mass of the density of a family with a death rate."""
-    return _mass(lambda a: float(_hazard_density(model, a, model.mu)), model.m, model.sigma)
+    return _mass(lambda a: float(_decayed_density(model, a, model.mu)), model.m, model.sigma)
 
 
 def imt_density(model: Model, a):
@@ -213,10 +232,7 @@ def imt_density(model: Model, a):
     without death (the density then integrates to 1 exactly) and is computed
     by quadrature for a family with a death rate.
     """
-    a = np.asarray(a, dtype=float)
-    if model.family == "emg":
-        return _emg_density(model.beta0, model.m, model.sigma, a)
-    density = _hazard_density(model, a, model.death_rate)
+    density = _decayed_density(model, a, model.death_rate)
     return density if model.mu is None else density / _death_norm(model)
 
 
@@ -228,10 +244,7 @@ def reweighted_density(model: Model, lam: float, a):
     equals 2*I(a)*exp(-lam*a) without death and integrates to 1 exactly when
     (rate, mu, lam) solve the growth eigenproblem.
     """
-    a = np.asarray(a, dtype=float)
-    if model.family == "emg":
-        return 2.0 * imt_density(model, a) * np.exp(-lam * a)
-    return 2.0 * _hazard_density(model, a, model.death_rate + lam)
+    return 2.0 * _decayed_density(model, a, model.death_rate + lam)
 
 
 def reweighted_mass(model: Model, lam: float) -> float:
@@ -243,10 +256,7 @@ class ClosedFormRate:
     """Division rate defined by a closed-form model (any family except emg)."""
 
     def __init__(self, model: Model):
-        if model.family == "emg":
-            raise UnsupportedVariantError(
-                "emg has no closed-form rate; invert its density to a TabulatedRate"
-            )
+        _closed_form(model)
         self.model = model
 
     def __call__(self, a):

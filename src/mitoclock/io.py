@@ -74,8 +74,9 @@ def check_table(ages, values, min_rows: int, what: str) -> tuple[np.ndarray, np.
 
 
 def r_squared(observed, residuals) -> float:
-    """1 - SS_res/SS_tot of a fit to observed; 1 when both sums are zero."""
+    """1 - SS_res/SS_tot of a fit to observed; on constant data 1 for an exact fit, else 0."""
     ss_res = float(np.dot(residuals, residuals))
+    if np.ptp(observed) == 0:
+        return 1.0 if ss_res == 0.0 else 0.0
     centered = observed - observed.mean()
-    ss_tot = float(np.dot(centered, centered))
-    return 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    return 1.0 - ss_res / float(np.dot(centered, centered))

@@ -40,20 +40,6 @@ class Equilibrium:
 
 
 @dataclass(frozen=True)
-class TruncatedEquilibrium:
-    """Equilibrium profile cut at age t0 and renormalized to unit mass.
-
-    t0 = 0 degenerates to a unit cohort in the first age cell.
-    """
-
-    t0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t0) and self.t0 >= 0):
-            raise ValidationError(f"t0 must be finite and nonnegative, got {self.t0}")
-
-
-@dataclass(frozen=True)
 class CustomProfile:
     """Start from an explicit tabulated density (zero outside its support)."""
 
@@ -173,8 +159,6 @@ def _initial_masses(config: SimConfig, cells: _CellGrid) -> np.ndarray:
     init = config.initial
     if isinstance(init, Equilibrium):
         return _equilibrium_masses(config.rate, config.mu, cells, None)
-    if isinstance(init, TruncatedEquilibrium):
-        return _equilibrium_masses(config.rate, config.mu, cells, init.t0)
     if isinstance(init, CustomProfile):
         ages = init.ages
         inside = (cells.centers >= ages[0]) & (cells.centers <= ages[-1])

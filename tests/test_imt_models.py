@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from mitoclock import (
     FAMILIES,
@@ -18,6 +19,7 @@ from mitoclock import (
     erfc,
     erfc_integral,
     imt_density,
+    imt_models,
     model_from_dict,
     model_from_json,
     reweighted_density,
@@ -287,6 +289,22 @@ def test_reweighted_density_bypasses_normalization_for_death_family():
     np.testing.assert_allclose(
         np.asarray(reweighted_density(FIT_ERFC_MU, 0.022, a)), expected, rtol=1e-14
     )
+
+
+@pytest.mark.parametrize("model", [FIT_ERFC, FIT_ERFC_MU], ids=["erfc", "erfc-mu"])
+def test_erfc_density_evaluates_erfc_once_per_age_array(monkeypatch, model):
+    # rate and hazard share one erfc(z); only erfc(m/sigma) is evaluated besides it
+    array_shapes = []
+
+    def counting_erfc(z):
+        if np.ndim(z):
+            array_shapes.append(np.shape(z))
+        return special.erfc(z)
+
+    monkeypatch.setattr(imt_models, "_special", lambda: SimpleNamespace(erfc=counting_erfc))
+    ages = (np.arange(63) + 0.5) * 1.25
+    reweighted_density(model, 0.022, ages)
+    assert array_shapes == [(63,)]
 
 
 # --- model construction and serialization -----------------------------------

@@ -62,3 +62,8 @@ def test_r_squared():
     assert r_squared(observed, np.array([0.0, 1.0, 0.0])) == 0.5
     # an exact fit to constant data explains everything there is
     assert r_squared(np.array([2.0, 2.0]), np.zeros(2)) == 1.0
+    # any other fit to constant data explains nothing; the mean of [0.1] * 3 is
+    # not 0.1 in floating point, and the rounding-level spread left after
+    # centering must not act as the variance
+    assert r_squared(np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.5, 0.0])) == 0.0
+    assert r_squared(np.array([0.1] * 3), np.array([0.0, 0.5, 0.0])) == 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitoclock import (
     ClosedFormRate,
@@ -8,7 +10,6 @@ from mitoclock import (
     Model,
     SimConfig,
     TabulatedRate,
-    TruncatedEquilibrium,
     ValidationError,
     imt_experiment,
     invert_imt,
@@ -42,8 +43,6 @@ def test_config_validation():
         SimConfig(rate=rate, mu=-1.0, f=0.0, t_end=10.0)
     with pytest.raises(ValidationError):
         SimConfig(rate=rate, mu=0.0, f=0.0, t_end=10.0, dt=0.0)
-    with pytest.raises(ValidationError):
-        TruncatedEquilibrium(-1.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -85,12 +84,6 @@ def test_config_rejects_non_finite_numbers(name, value):
     kwargs[name] = value
     with pytest.raises(ValidationError):
         SimConfig(**kwargs)
-
-
-@pytest.mark.parametrize("t0", [float("nan"), float("inf")])
-def test_truncated_equilibrium_rejects_non_finite_t0(t0):
-    with pytest.raises(ValidationError, match="t0"):
-        TruncatedEquilibrium(t0)
 
 
 class UntouchableRate:
@@ -200,6 +193,49 @@ def test_quiescent_fraction_equals_f_without_death(f):
     rate = ClosedFormRate(FIT_ERFC_MU)
     config = SimConfig(rate=rate, mu=0.0, f=f, t_end=20.0, dt=0.05)
     assert abs(quiescent_fraction(config, 20.0) - f) < 1e-12
+
+
+# one member of each closed-form family, simulated without death (mu = mu_q = 0)
+CLOSED_FORM_RATES = {
+    "gamma1": ClosedFormRate(Model(family="gamma1", m=10.0, sigma=2.0)),
+    "gamma2": ClosedFormRate(Model(family="gamma2", m=10.0, sigma=2.0)),
+    "erfc": ClosedFormRate(FIT_ERFC),
+    "erfc-mu": ClosedFormRate(FIT_ERFC_MU),
+}
+FRACTIONS = st.floats(min_value=0.0, max_value=1.0)
+STEPS = st.sampled_from([0.025, 0.05, 0.1])
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_RATES)
+@given(f=FRACTIONS, dt=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_labeled_fraction_is_f_without_death(family, f, dt):
+    config = SimConfig(rate=CLOSED_FORM_RATES[family], mu=0.0, f=f, t_end=15.0, dt=dt)
+    assert abs(quiescent_fraction(config, 15.0) - f) < 1e-12
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_RATES)
+@given(f=FRACTIONS, dt=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_population_grows_by_the_division_mass_without_death(family, f, dt):
+    # each division adds one cell net: 2 daughters (into P or Q) for 1 mother
+    rate = CLOSED_FORM_RATES[family]
+    out = simulate(SimConfig(rate=rate, mu=0.0, f=f, t_end=15.0, dt=dt, mu_q=0.0))
+    divisions = dt * (out.births + out.quiescence_influx)[:-1] / 2.0
+    assert np.all(np.abs(np.diff(out.N) - divisions) <= 1e-12 * out.N[1:])
+
+
+@pytest.mark.parametrize("family", ["gamma1", "gamma2"])
+@given(f=FRACTIONS, dt=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_population_ignores_f_until_treated_daughters_can_divide(family, f, dt):
+    # a daughter born at t > 0 cannot divide before age m, so until t = m every
+    # division comes from the initial cells and N cannot depend on f; P and Q
+    # are summed separately, so N agrees to rounding, not bit for bit
+    rate = CLOSED_FORM_RATES[family]
+    runs = [simulate(SimConfig(rate=rate, mu=0.0, f=g, t_end=12.0, dt=dt)) for g in (0.0, f)]
+    early = runs[0].times < rate.model.m
+    np.testing.assert_allclose(runs[1].N[early], runs[0].N[early], rtol=1e-13, atol=0)
 
 
 def test_quiescent_fraction_with_death_stays_close():

@@ -34,7 +34,6 @@ from .imt_models import (
 from .inversion import ErfcComparison, best_erfc_fit, erfc_distance, invert_imt
 from .simulator import (
     CustomProfile,
-    Equilibrium,
     SimConfig,
     SimOutput,
     imt_experiment,
@@ -53,7 +52,6 @@ __all__ = [
     "CustomProfile",
     "DegenerateInputError",
     "EigenPair",
-    "Equilibrium",
     "ErfcComparison",
     "FAMILIES",
     "FitConvergenceError",

@@ -90,7 +90,8 @@ def predicted_fraction(config, t0: float) -> float:
     """The labelled fraction F the scheme must give at t0, from its own division series.
 
     With d_k = dt*(births_k + quiescence_influx_k)/2 the division mass of step k < t0/dt and
-    q0 = 0, F = f*S / (f*S + (1-f)*D), where S = sum d_k (1 - dt*mu_q)^(t0/dt-1-k), D = sum d_k.
+    Q empty at t = 0, F = f*S / (f*S + (1-f)*D), where S = sum d_k (1 - dt*mu_q)^(t0/dt-1-k),
+    D = sum d_k.
     """
     out = simulator.simulate(config)
     k = int(round(t0 / config.dt))

@@ -74,9 +74,16 @@ def check_table(ages, values, min_rows: int, what: str) -> tuple[np.ndarray, np.
 
 
 def r_squared(observed, residuals) -> float:
-    """1 - SS_res/SS_tot of a fit to observed; on constant data 1 for an exact fit, else 0."""
-    ss_res = float(np.dot(residuals, residuals))
-    if np.ptp(observed) == 0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    centered = observed - observed.mean()
-    return 1.0 - ss_res / float(np.dot(centered, centered))
+    """1 - SS_res/SS_tot of a fit to observed; on constant data 1 for an exact fit, else 0.
+
+    Both sums are in units of the data's range, so SS_tot >= 1/4 cannot underflow;
+    a ratio past the float range saturates at the most negative float, not -inf.
+    """
+    scale = np.ptp(observed)
+    if scale == 0:
+        return 1.0 if not np.any(residuals) else 0.0
+    centered = (observed - observed.mean()) / scale
+    with np.errstate(over="ignore"):
+        scaled = residuals / scale
+        ss_res = float(np.dot(scaled, scaled))
+    return max(1.0 - ss_res / float(np.dot(centered, centered)), -np.finfo(float).max)

@@ -15,12 +15,16 @@ explicit Euler.  Mass budgets therefore close exactly: pure transport
 conserves to rounding, N(t) is identical across f until the first division
 of a post-treatment cohort, and the labeling fraction below reproduces f
 exactly when nothing dies.
+
+The labeled cohort of `imt_experiment` re-injects no daughters, so it needs no
+time loop: after k steps cell j holds m0[j-k] * exp(Lh_j - Lh_{j-k} - mu*dt*k),
+and its division observable over the window is one convolution (see there).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +36,6 @@ from .spectral import AgeProfile
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
 MAX_STEPS = 10**7  # most time steps one simulate or imt_experiment run may take
 HAZARD_TOL = 1e-6  # imt_experiment: largest hazard at t0 that counts as no division yet
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    """Start from the equilibrium age profile, unit mass."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,10 @@ class SimConfig:
     dt: float = 0.05
     a_max: float | None = None
     mu_q: float | None = None
-    q0: float = 0.0
-    initial: object = field(default_factory=Equilibrium)
+    initial: CustomProfile | None = None  # None: the equilibrium age profile, unit mass
 
     def __post_init__(self):
-        for name in ("mu", "t_end", "dt", "a_max", "mu_q", "q0"):
+        for name in ("mu", "t_end", "dt", "a_max", "mu_q"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -83,8 +81,8 @@ class SimConfig:
             raise ValidationError(f"mu must be nonnegative, got {self.mu}")
         if self.mu_q is not None and self.mu_q < 0:
             raise ValidationError(f"mu_q must be nonnegative, got {self.mu_q}")
-        if self.q0 < 0:
-            raise ValidationError(f"q0 must be nonnegative, got {self.q0}")
+        if not (self.initial is None or isinstance(self.initial, CustomProfile)):
+            raise ValidationError(f"initial must be a CustomProfile or None, got {self.initial!r}")
 
     @property
     def quiescent_death_rate(self) -> float:
@@ -123,20 +121,12 @@ class _CellGrid:
         self.beta = np.asarray(rate(self.centers), dtype=float)
         self.hazard = np.asarray(rate.hazard(self.centers), dtype=float)
         # hazard picked up while a cell's content ages by one step
-        dh = np.asarray(rate.hazard(self.centers + dt), dtype=float) - self.hazard
+        self.dh = dh = np.asarray(rate.hazard(self.centers + dt), dtype=float) - self.hazard
         x = dh + mu * dt
         self.keep = np.exp(-x)
         removed = -np.expm1(-x)
         div_share = np.where(x > 0, dh / np.where(x > 0, x, 1.0), 0.0)
         self.div_frac = removed * div_share  # mass fraction dividing per step
-
-    def advance(self, m: np.ndarray, newborn: float) -> np.ndarray:
-        """Masses one step later: survivors move up one cell, newborn mass enters cell 0."""
-        survivors = m * self.keep
-        m = np.empty_like(survivors)
-        m[1:] = survivors[:-1]
-        m[0] = newborn
-        return m
 
 
 def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> np.ndarray:
@@ -155,18 +145,6 @@ def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> 
     return weights / total
 
 
-def _initial_masses(config: SimConfig, cells: _CellGrid) -> np.ndarray:
-    init = config.initial
-    if isinstance(init, Equilibrium):
-        return _equilibrium_masses(config.rate, config.mu, cells, None)
-    if isinstance(init, CustomProfile):
-        ages = init.ages
-        inside = (cells.centers >= ages[0]) & (cells.centers <= ages[-1])
-        density = np.where(inside, np.interp(cells.centers, ages, init.values), 0.0)
-        return density * cells.dt
-    raise ValidationError(f"unknown initial condition {init!r}")
-
-
 def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     """Run the quiescence model; all series are sampled at every step.
 
@@ -177,8 +155,13 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     if a_max is None:
         a_max = float(spectral.build_grid(config.rate, step=dt)[-1])
     cells = _CellGrid(config.rate, config.mu, dt, a_max)
-    m = _initial_masses(config, cells)
-    q = config.q0
+    init = config.initial
+    if init is None:
+        m = _equilibrium_masses(config.rate, config.mu, cells, None)
+    else:
+        inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
+        m = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
+    q = 0.0
     f = config.f
     mu_q = config.quiescent_death_rate
 
@@ -210,7 +193,8 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
                 f"age profile reached a_max = {a_max:g} at t = {n * dt:g} "
                 f"(top cell holds {m[-1]:.3e}); increase a_max"
             )
-        m = cells.advance(m, 2.0 * (1.0 - f) * divisions)
+        m[1:] = m[:-1] * cells.keep[:-1]  # survivors move up one cell
+        m[0] = 2.0 * (1.0 - f) * divisions  # newborn mass enters cell 0
         q = q + 2.0 * f * divisions - dt * mu_q * q
 
     return SimOutput(
@@ -247,9 +231,13 @@ def quiescent_fraction(config: SimConfig, t0: float) -> float:
 def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     """Finite-window IMT density of a labeled cohort, and its L1 gap to the ideal.
 
-    The cohort starts from the truncated equilibrium profile and evolves by
-    pure transport and loss (daughters are not re-injected).  The division
-    observable beta * p accumulates per age cell until time big_t and is
+    The cohort starts from the truncated equilibrium masses m0 and evolves by
+    pure transport and loss (daughters are not re-injected).  With the hazard
+    part Lh_j = -sum_{l<j} dh_l of a cell's log-survival, the division
+    observable beta * p summed over the K = big_t / dt steps is the convolution
+
+        acc_j = dt * beta_j * exp(Lh_j) * sum_{k<K} m0_{j-k} exp(-Lh_{j-k}) exp(-mu*dt*k),
+
     normalized into the finite-window density I_T; the returned gap is
     integral |I_T - I_inf| against the ideal density on the same cells.
     Requires the rate to vanish on [0, t0] (hazard at t0 below HAZARD_TOL)
@@ -268,21 +256,26 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
             f"(hazard {float(rate.hazard(t0)):.3g} > {HAZARD_TOL:g})"
         )
     steps = int(round(big_t / dt))
-    a_max = big_t + t0 + 2.0 * dt
-    cells = _CellGrid(rate, mu, dt, a_max)
-    m = _equilibrium_masses(rate, mu, cells, t0)
+    if steps == 0:
+        raise ValidationError(f"observation window {big_t} is shorter than one step dt = {dt}")
+    cells = _CellGrid(rate, mu, dt, big_t + t0 + 2.0 * dt)
+    m0 = _equilibrium_masses(rate, mu, cells, t0)
 
-    acc = np.zeros_like(cells.centers)
-    for _ in range(steps):
-        acc += cells.beta * m * dt
-        m = cells.advance(m, 0.0)
+    lh = -np.concatenate(([0.0], np.cumsum(cells.dh[:-1])))
+    # m0 > 0 only at ages <= t0, where -lh <= HAZARD_TOL; death stays a kernel of its
+    # own, as folding mu*dt into lh would overflow exp(-lh) once mu*t0 exceeds ~709
+    support = np.flatnonzero(m0)[-1] + 1
+    held = np.convolve(m0[:support] * np.exp(-lh[:support]), np.exp(-mu * dt * np.arange(steps)))
+    acc = dt * cells.beta * np.exp(lh) * np.pad(held, (0, m0.size - held.size))
 
     c_t = float(acc.sum())
     if c_t <= 0:
         raise ValidationError("no division flux observed by big_t; window too short")
     i_t = acc / (c_t * dt)
 
-    ideal = cells.beta * np.exp(-cells.hazard - mu * cells.centers)
+    # peaks at exp(0) where beta > 0 (c_t > 0: some cell), so steep death cannot underflow it
+    exponent = -cells.hazard - mu * cells.centers
+    ideal = cells.beta * np.exp(np.minimum(exponent - exponent[cells.beta > 0].max(), 0.0))
     ideal /= ideal.sum() * dt
     l1_gap = float(np.abs(i_t - ideal).sum() * dt)
     return AgeProfile(cells.centers, i_t), l1_gap

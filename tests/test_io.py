@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from mitoclock import ParseError, ValidationError
+from mitoclock import ParseError, TabulatedRate, ValidationError, erfc_distance
 from mitoclock.io import check_table, r_squared, read_columns, write_columns
 
 
@@ -67,3 +69,10 @@ def test_r_squared():
     # centering must not act as the variance
     assert r_squared(np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.5, 0.0])) == 0.0
     assert r_squared(np.array([0.1] * 3), np.array([0.0, 0.5, 0.0])) == 0.0
+    # data of tiny magnitude: their centred squares underflow, their range does not
+    tiny = np.array([0.0, 1e-170, 0.0])
+    assert r_squared(tiny, np.zeros(3)) == 1.0
+    assert r_squared(tiny, tiny) == pytest.approx(-0.5, rel=1e-12)
+    # a ratio past the float range saturates instead of reaching -inf
+    comparison = erfc_distance(TabulatedRate([0, 1, 2], [0.0, 1e-170, 0.0]), 0.5, 1, 1)
+    assert comparison.r_squared == -sys.float_info.max

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from mitoclock import (
     solve_lambda,
 )
 from mitoclock.checks import predicted_fraction
-from mitoclock.simulator import MAX_STEPS
+from mitoclock.simulator import MAX_STEPS, _CellGrid, _equilibrium_masses
 from mitoclock.spectral import MAX_CELLS, build_grid
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -43,6 +46,8 @@ def test_config_validation():
         SimConfig(rate=rate, mu=-1.0, f=0.0, t_end=10.0)
     with pytest.raises(ValidationError):
         SimConfig(rate=rate, mu=0.0, f=0.0, t_end=10.0, dt=0.0)
+    with pytest.raises(ValidationError, match="CustomProfile"):
+        SimConfig(rate=rate, mu=0.0, f=0.0, t_end=10.0, initial="equilibrium")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -78,7 +83,7 @@ def test_rate_and_density_tables_share_the_profile_check(build, ages, values):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["t_end", "dt", "mu", "a_max", "mu_q", "q0"])
+@pytest.mark.parametrize("name", ["t_end", "dt", "mu", "a_max", "mu_q"])
 def test_config_rejects_non_finite_numbers(name, value):
     kwargs = dict(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.5, t_end=10.0)
     kwargs[name] = value
@@ -238,6 +243,28 @@ def test_population_ignores_f_until_treated_daughters_can_divide(family, f, dt):
     np.testing.assert_allclose(runs[1].N[early], runs[0].N[early], rtol=1e-13, atol=0)
 
 
+@given(
+    beta=st.floats(min_value=0.01, max_value=1.0),
+    mu=st.floats(min_value=0.0, max_value=1.0),
+    mu_q=st.floats(min_value=0.0, max_value=1.0),
+    f=FRACTIONS,
+    dt=STEPS,
+)
+@settings(max_examples=25, deadline=None)
+def test_constant_rate_closes_both_pools_with_death(beta, mu, mu_q, f, dt):
+    # with beta constant every cell keeps and divides the same share per step, and
+    # no mass reaches the top cell by t_end, so P and Q follow scalar recursions
+    config = SimConfig(rate=TabulatedRate([0.0, 300.0], [beta, beta]), mu=mu, f=f, t_end=50.0,
+                       dt=dt, a_max=220.0, mu_q=mu_q, initial=bump_profile())
+    out = simulate(config)
+    keep = math.exp(-(beta + mu) * dt)
+    growth = keep + 2.0 * (1.0 - f) * (1.0 - keep) * beta / (beta + mu)
+    np.testing.assert_allclose(out.P[1:], growth * out.P[:-1], rtol=1e-12, atol=0)
+    inflow = (1.0 - dt * mu_q) * out.Q[:-1] + dt * out.quiescence_influx[:-1]
+    # atol: a subnormal f gives subnormal Q values, which carry no relative precision
+    np.testing.assert_allclose(out.Q[1:], inflow, rtol=1e-12, atol=1e-300)
+
+
 def test_quiescent_fraction_with_death_stays_close():
     rate = ClosedFormRate(FIT_ERFC_MU)
     config = SimConfig(rate=rate, mu=0.00333, f=0.84, t_end=20.0, dt=0.05)
@@ -345,6 +372,8 @@ def test_imt_experiment_requires_quiet_start():
         imt_experiment(rate, 0.0, FIT_ERFC.m, FIT_ERFC.m + 40.0)
     with pytest.raises(ValidationError, match="exceed"):
         imt_experiment(rate, 0.0, 10.0, 5.0)
+    with pytest.raises(ValidationError, match="one step"):
+        imt_experiment(rate, 0.0, 0.0, 0.01)
 
 
 @pytest.mark.parametrize(
@@ -381,3 +410,60 @@ def test_imt_experiment_density_normalized():
     step = profile.ages[1] - profile.ages[0]
     assert profile.values.sum() * step == pytest.approx(1.0, abs=1e-12)
     assert gap >= 0.0
+
+
+def stepped_cohort(rate, mu, t0, big_t, dt):
+    """(I_T, gap) of imt_experiment by stepping the labeled cohort big_t / dt times."""
+    cells = _CellGrid(rate, mu, dt, big_t + t0 + 2.0 * dt)
+    m = _equilibrium_masses(rate, mu, cells, t0)
+    acc = np.zeros_like(m)
+    for _ in range(int(round(big_t / dt))):
+        acc += cells.beta * m * dt
+        m = np.concatenate(([0.0], (m * cells.keep)[:-1]))
+    i_t = acc / (acc.sum() * dt)
+    ideal = cells.beta * np.exp(-cells.hazard - mu * cells.centers)
+    ideal /= ideal.sum() * dt
+    return i_t, float(np.abs(i_t - ideal).sum() * dt)
+
+
+SHAPES = st.tuples(  # (m, sigma)
+    st.floats(min_value=2.0, max_value=20.0), st.floats(min_value=0.5, max_value=4.0)
+)
+COHORT_MODELS = st.one_of(
+    st.builds(lambda ms: Model(family="gamma1", m=ms[0], sigma=ms[1]), SHAPES),
+    st.builds(lambda ms: Model(family="gamma2", m=ms[0], sigma=ms[1]), SHAPES),
+    st.builds(lambda b, ms: Model(family="erfc", beta0=b, m=ms[0], sigma=ms[1]),
+              st.floats(min_value=0.05, max_value=0.5), SHAPES),
+)
+
+
+@given(
+    model=COHORT_MODELS,
+    mu=st.floats(min_value=0.0, max_value=5.0),
+    start=st.floats(min_value=0.0, max_value=1.0),
+    widths=st.floats(min_value=0.5, max_value=12.0),
+    dt=STEPS,
+)
+@settings(max_examples=25, deadline=None)
+def test_imt_experiment_matches_the_stepped_cohort(model, mu, start, widths, dt):
+    # t0 inside the span where the rate vanishes: below m for the gamma families,
+    # below m - 4 sigma for erfc; t0 is 0 or covers the first cell center, so the
+    # cohort is not empty; the window reaches past m, so divisions are seen
+    quiet = model.m if model.family != "erfc" else max(model.m - 4.0 * model.sigma, 0.0)
+    t0, big_t = dt * math.floor(start * quiet / dt), model.m + widths * model.sigma
+    rate = ClosedFormRate(model)
+    profile, gap = imt_experiment(rate, mu, t0, big_t, dt)
+    i_t, stepped_gap = stepped_cohort(rate, mu, t0, big_t, dt)
+    assert np.abs(profile.values - i_t).max() <= 1e-12 * i_t.max()
+    assert abs(gap - stepped_gap) <= 1e-12
+
+
+def test_imt_experiment_gap_is_finite_under_steep_death():
+    # beta * exp(-hazard - mu*a) underflows to 0 in every cell: the ideal density
+    # must still normalize, without an invalid-value warning
+    rate = ClosedFormRate(Model(family="gamma1", m=31.0, sigma=2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        profile, gap = imt_experiment(rate, 40.0, 30.0, 60.0)
+    assert math.isfinite(gap) and 0.0 <= gap <= 2.0
+    assert profile.values.sum() * 0.025 == pytest.approx(1.0, abs=1e-12)

@@ -130,7 +130,7 @@ class _CellGrid:
 
 
 def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> np.ndarray:
-    if t0 == 0.0:  # the cut profile degenerates to a unit cohort in the first cell
+    if t0 is not None and t0 < cells.dt / 2:  # no cell center <= t0: a unit cohort in cell 0
         m = np.zeros_like(cells.centers)
         m[0] = 1.0
         return m

@@ -344,8 +344,7 @@ commands = [["simulate", model_json, "--f", "0", "0.6", "--t-end", "10", "--out-
 commands += [["verify", model_json, "--suite", suite] for suite in mitoclock.cli.SUITES]
 for argv in commands:
     assert mitoclock.cli.main(argv) == 0, argv
-    heavy = loaded("scipy.optimize", "scipy.integrate", "scipy.linalg")
-    assert not heavy, (argv, heavy)
+    assert not loaded("scipy"), (argv, loaded("scipy"))
 """
 
 

@@ -1,15 +1,15 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from mitoclock import (
     FAMILIES,
     ClosedFormRate,
+    FitResult,
     Model,
     TabulatedRate,
     UnsupportedVariantError,
@@ -20,10 +20,13 @@ from mitoclock import (
     erfc_integral,
     imt_density,
     imt_models,
+    mass_check,
     model_from_dict,
     model_from_json,
     reweighted_density,
+    solve_lambda,
 )
+from mitoclock.imt_models import _emg_density, reweighted_mass
 
 FIT_ERFC = Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -61,6 +64,12 @@ def test_erfc_matches_series_oracle():
     zs = np.linspace(-3.0, 3.0, 121)
     worst = max(abs(float(erfc(z)) - erfc_series(float(z))) for z in zs)
     assert worst < 1e-13
+
+
+def test_erfc_matches_scipy_to_rounding():
+    zs = np.linspace(-30.0, 26.0, 56001)
+    np.testing.assert_allclose(erfc(zs), special.erfc(zs), rtol=6e-14, atol=0)
+    assert type(erfc(0.5)) is float and erfc(np.arange(3.0).reshape(3, 1)).shape == (3, 1)
 
 
 @given(z=st.floats(min_value=-10.0, max_value=10.0))
@@ -191,6 +200,79 @@ def test_density_has_unit_mass(model):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+def quad_mass(f, m, lo=0.0):
+    """Integral of the scalar function f over [lo, inf), split at m (scipy quad)."""
+    head = integrate.quad(f, lo, m, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
+    return head + integrate.quad(f, m, np.inf, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
+
+
+def reference_reweighted_mass(model, lam):
+    """Mass of reweighted_density(model, lam, .) over [0, inf), by quad_mass."""
+    return quad_mass(lambda a: float(reweighted_density(model, lam, a)), model.m)
+
+
+def reference_density_mass(model):
+    """Mass of imt_density by quad_mass; emg's over the whole line, where it is defined."""
+    # imt_density is rate * survival * exp(-mu*a) (emg: its density) over a constant
+    # norm: quad integrates that shape, and the norm is read off at one age
+    def shape(a):
+        return float(reweighted_density(model, 0.0, a)) / 2.0
+
+    probe = model.m + model.sigma
+    norm = shape(probe) / float(imt_density(model, probe))
+    return quad_mass(shape, model.m, -np.inf if model.family == "emg" else 0.0) / norm
+
+
+WIDE_MODELS = st.builds(
+    lambda family, m, sigma, beta0, mu: Model(
+        family=family, m=m, sigma=sigma,
+        beta0=beta0 if "beta0" in imt_models.PARAMS[family] else None,
+        mu=mu if family == "erfc-mu" else None,
+    ),
+    st.sampled_from(FAMILIES),
+    st.floats(min_value=5.0, max_value=30.0),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=0.02, max_value=0.4),
+    st.floats(min_value=0.0, max_value=0.05),
+)
+
+
+@given(model=WIDE_MODELS, lam=st.floats(min_value=0.0, max_value=0.06))
+@settings(max_examples=30, deadline=None)
+def test_masses_match_quadrature_to_infinity(model, lam):
+    assert reference_density_mass(model) == pytest.approx(1.0, abs=1e-10)
+    expected = reference_reweighted_mass(model, lam)
+    assert reweighted_mass(model, lam) == pytest.approx(expected, rel=1e-10)
+    # the model's own growth rate, where the reweighted density has unit mass; the
+    # reweighted mass is 2 at -mu for a closed form, and grows without bound towards
+    # -2*beta0 for emg, whose density can put most of its mass below age 0
+    lo = -model.death_rate if model.family != "emg" else -1.99 * model.beta0
+    own = optimize.brentq(lambda x: reference_reweighted_mass(model, x) - 1.0, lo, 2.0,
+                          xtol=1e-13)
+    assert reweighted_mass(model, own) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_narrow_rise_with_slow_plateau_keeps_unit_mass():
+    # most of the mass lies past m + 40 sigma, on the plateau's slow exponential tail
+    narrow = Model(family="erfc", beta0=0.05, m=10.0, sigma=0.3)
+    lam = solve_lambda(ClosedFormRate(narrow), 0.0)
+    mass = reweighted_mass(narrow, lam)
+    assert mass == pytest.approx(1.0, abs=1e-6)  # solve_lambda's grid error
+    fit = FitResult(model=narrow, r_squared=1.0, integral_i_tilde=mass, lambda_used=lam,
+                    residuals=np.zeros(1), n_evaluations=0)
+    assert mass_check(fit).ok
+    with_death = Model(family="erfc-mu", beta0=0.05, m=10.0, sigma=0.3, mu=0.01)
+    assert reference_density_mass(with_death) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_reweighting_that_outgrows_the_tail_is_rejected():
+    emg = Model(family="emg", beta0=0.05, m=20.0, sigma=1.0)  # tail decays as exp(-0.1 a)
+    with pytest.raises(ValidationError, match="lambda = -0.1"):
+        reweighted_mass(emg, -0.1)
+    slow = reference_reweighted_mass(emg, -0.09)  # tail decays as exp(-0.01 a)
+    assert reweighted_mass(emg, -0.09) == pytest.approx(slow, rel=1e-10)
+
+
 def shifted_gamma_pdf(k):
     """scipy's gamma density with shape k, shifted by m and scaled by sigma."""
     return lambda model, ages: stats.gamma.pdf(ages - model.m, k, scale=model.sigma)
@@ -221,6 +303,34 @@ def test_density_equals_rate_times_survival(model, reference):
     ages = np.linspace(0.0, 80.0, 400)
     direct = np.asarray(imt_density(model, ages))
     np.testing.assert_allclose(direct, reference(model, ages), atol=1e-15, rtol=1e-11)
+
+
+def emg_density_reference(beta0, m, sigma, a):
+    """The emg density in scipy's scaled form: erfcx(z)*exp(-(z - bs)^2) for z > 0."""
+    z = (m - a) / sigma
+    bs = beta0 * sigma
+    upper = special.erfcx(np.abs(z)) * np.exp(-((z - bs) ** 2))
+    lower = special.erfc(z) * np.exp(bs * (2.0 * np.minimum(z, 0.0) - bs))
+    return beta0 * np.where(z > 0, upper, lower)
+
+
+@given(
+    bs=st.one_of(st.floats(min_value=1e-3, max_value=20.0),
+                 st.floats(min_value=20.0, max_value=60.0)),
+    sigma=st.floats(min_value=0.05, max_value=10.0),
+    m=st.floats(min_value=0.0, max_value=60.0),
+    zs=st.lists(st.floats(min_value=-40.0, max_value=80.0), min_size=1, max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_emg_density_matches_the_scaled_scipy_form(bs, sigma, m, zs):
+    # z = (m - a)/sigma past 26 takes the asymptotic erfcx branch
+    zs = np.array(zs + [26.0, np.nextafter(26.0, 30.0), 26.5, 30.0, bs])
+    ages = m - sigma * zs
+    expected = emg_density_reference(bs / sigma, m, sigma, ages)
+    got = _emg_density(bs / sigma, m, sigma, ages, 0.0)
+    shown = expected > 1e-280
+    np.testing.assert_allclose(got[shown], expected[shown], rtol=1e-12, atol=0)
+    assert np.all(got[~shown] <= 1e-279)
 
 
 def test_emg_density_is_skewed_unimodal():
@@ -299,9 +409,9 @@ def test_erfc_density_evaluates_erfc_once_per_age_array(monkeypatch, model):
     def counting_erfc(z):
         if np.ndim(z):
             array_shapes.append(np.shape(z))
-        return special.erfc(z)
+        return erfc(z)
 
-    monkeypatch.setattr(imt_models, "_special", lambda: SimpleNamespace(erfc=counting_erfc))
+    monkeypatch.setattr(imt_models, "erfc", counting_erfc)
     ages = (np.arange(63) + 0.5) * 1.25
     reweighted_density(model, 0.022, ages)
     assert array_shapes == [(63,)]

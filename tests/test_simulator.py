@@ -395,6 +395,16 @@ def test_imt_experiment_point_cohort_matches_survival_weighted_rate():
     assert np.abs(profile.values - ideal).max() < 1e-6
 
 
+def test_imt_experiment_start_below_half_a_step_is_the_point_cohort():
+    # no cell center lies at or below 0 < t0 < dt/2: the cohort is the unit mass in
+    # the first cell, as for t0 = 0; the grid reaches t0 further, one empty cell more
+    rate = ClosedFormRate(Model(family="gamma1", m=2.0, sigma=1.0))
+    profile, gap = imt_experiment(rate, 0.0, 0.0078, 30.0, 0.025)
+    point, _ = imt_experiment(rate, 0.0, 0.0, 30.0, 0.025)
+    np.testing.assert_array_equal(profile.values, np.append(point.values, 0.0))
+    assert 0.0 <= gap < 1e-10
+
+
 def test_imt_experiment_gap_shrinks_with_window():
     rate = ClosedFormRate(FIT_ERFC)
     t0 = FIT_ERFC.m - 4.0 * FIT_ERFC.sigma

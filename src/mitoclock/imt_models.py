@@ -13,7 +13,9 @@ Every family provides the IMT density `imt_density` and its growth-rate
 reweighted form `reweighted_density`.  Each closed-form family (all except
 `emg`) is one entry of the table `_CLOSED_FORMS`: a function that returns
 its division rate (`division_rate`) and that rate's integral
-(`cumulative_hazard`) together, from one evaluation.  Both densities follow
+(`cumulative_hazard`) together, from one evaluation, and on request their
+partials in the rate's parameters, from which `_density_and_jacobian` gives
+the fitter the reweighted density's Jacobian.  Both densities follow
 from these through the hazard identity: the probability that a cell has not
 divided by age a is exp(-cumulative_hazard(a)), so the density of ages at
 division is rate(a) * exp(-hazard(a) - mu*a), normalized.  `emg` has no
@@ -133,27 +135,56 @@ def model_from_json(text: str) -> Model:
     return model_from_dict(payload)
 
 
-def _gamma1(model: Model, a: np.ndarray):
-    x = np.maximum(a - model.m, 0.0)
-    s = model.sigma
-    h = x / s
-    return x / (s * (s + x)), h - np.log1p(h)
+def _rate_params(model: Model) -> dict:
+    """The model's parameters that its closed-form rate takes: all but mu."""
+    return {name: getattr(model, name) for name in PARAMS[model.family] if name != "mu"}
 
 
-def _gamma2(model: Model, a: np.ndarray):
-    x = np.maximum(a - model.m, 0.0)
-    s = model.sigma
-    h = x / s
-    return x * x / (s * (2 * s * s + 2 * s * x + x * x)), h - np.log1p(h * (2.0 + h) / 2.0)
+def _gamma_partials(rate, rate_x, x, sigma):
+    # a gamma hazard is a function of x/sigma and the rate its x-derivative, so both
+    # (m, sigma) partials follow from the rate and rate_x = d rate/dx
+    d_rate = np.stack((-rate_x, -(rate + x * rate_x) / sigma))
+    d_hazard = np.stack((-rate, -(x / sigma) * rate))
+    return d_rate, d_hazard
 
 
-def _erfc(model: Model, a: np.ndarray):
-    z = (model.m - a) / model.sigma
+def _gamma1(a, m, sigma, partials=False):
+    x = np.maximum(a - m, 0.0)
+    h = x / sigma
+    rate, hazard = x / (sigma * (sigma + x)), h - np.log1p(h)
+    if not partials:
+        return rate, hazard
+    rate_x = np.where(a > m, 1.0 / (sigma + x) ** 2, 0.0)
+    return rate, hazard, *_gamma_partials(rate, rate_x, x, sigma)
+
+
+def _gamma2(a, m, sigma, partials=False):
+    x = np.maximum(a - m, 0.0)
+    h = x / sigma
+    p = 2 * sigma * sigma + 2 * sigma * x + x * x
+    rate, hazard = x * x / (sigma * p), h - np.log1p(h * (2.0 + h) / 2.0)
+    if not partials:
+        return rate, hazard
+    return rate, hazard, *_gamma_partials(rate, 2.0 * x * (2.0 * sigma + x) / (p * p), x, sigma)
+
+
+def _erfc(a, beta0, m, sigma, partials=False):
+    z = (m - a) / sigma
     erfc_z = erfc(z)
-    return model.beta0 * erfc_z, model.beta0 * _erfc_integral(model.m, model.sigma, z, erfc_z)
+    integral = _erfc_integral(m, sigma, z, erfc_z)
+    rate, hazard = beta0 * erfc_z, beta0 * integral
+    if not partials:
+        return rate, hazard
+    z0 = m / sigma
+    gauss, gauss0 = np.exp(-z * z) / _SQRT_PI, math.exp(-z0 * z0) / _SQRT_PI
+    d_rate = np.stack((erfc_z, (-2.0 * beta0 / sigma) * gauss, (2.0 * beta0 / sigma) * gauss * z))
+    d_hazard = np.stack((integral, beta0 * (erfc(z0) - erfc_z), beta0 * (gauss - gauss0)))
+    return rate, hazard, d_rate, d_hazard
 
 
-# family -> (model, ages) -> (division rate, cumulative hazard); emg has no closed form
+# family -> (ages, rate parameters, partials=False) -> (division rate, cumulative hazard),
+# followed with partials=True by their partials in the rate parameters' order, one row
+# each; emg has no closed form
 _CLOSED_FORMS = {"gamma1": _gamma1, "gamma2": _gamma2, "erfc": _erfc, "erfc-mu": _erfc}
 
 
@@ -173,18 +204,20 @@ def division_rate(model: Model, a):
     Not available for the emg family, whose rate has no closed form;
     recover it numerically with inversion.invert_imt instead.
     """
-    return _closed_form(model)(model, np.asarray(a, dtype=float))[0]
+    return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[0]
 
 
 def cumulative_hazard(model: Model, a):
     """Integral of the division rate from 0 to a, in closed form."""
-    return _closed_form(model)(model, np.asarray(a, dtype=float))[1]
+    return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[1]
 
 
-def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: float):
+def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: float,
+                 partials=False):
     # I(a)*exp(-decay*a), the decay inside the exponent, so that it cannot overflow where I
     # underflows.  erfc(z)*exp(2*bs*z - bs^2) for z <= 26, where that exponent is <= z^2 <= 676;
     # past 26, where erfc underflows, exp(-(z - bs)^2)*erfcx(z), erfcx = exp(z^2)*erfc.
+    # With partials=True, also its (beta0, m, sigma) partials, one row each.
     z = (m - a) / sigma
     bs = beta0 * sigma
     near = z <= 26.0
@@ -196,7 +229,15 @@ def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: flo
         for k in range(7, 0, -1):  # sum over k < 8 of (-1)^k (2k-1)!! / (2z^2)^k
             series = 1.0 - (2 * k - 1) * series / (2.0 * zf * zf)
         out[~near] = np.exp(-((zf - bs) ** 2) - decay * a[~near]) * series / (zf * _SQRT_PI)
-    return beta0 * out
+    density = beta0 * out
+    if not partials:
+        return density
+    # the density times d(log erfc)/dz = -2*exp(-z^2)/(sqrt(pi)*erfc(z)) is -gauss below,
+    # which divides by no erfc, so it stays finite where erfc underflows
+    gauss = (2.0 * beta0 / _SQRT_PI) * np.exp(-((z - bs) ** 2) - decay * a)
+    return density, np.stack((out + 2.0 * sigma * (z - bs) * density,
+                              2.0 * beta0 * density - gauss / sigma,
+                              gauss * z / sigma - 2.0 * beta0 * bs * density))
 
 
 def _mass(model: Model, lam: float) -> float:
@@ -206,7 +247,7 @@ def _mass(model: Model, lam: float) -> float:
     b = model.m + 40.0 * model.sigma
     closed_form = _CLOSED_FORMS.get(model.family)
     k = decay + (2.0 * model.beta0 if closed_form is None
-                 else float(closed_form(model, np.asarray(b))[0]))
+                 else float(closed_form(np.asarray(b), **_rate_params(model))[0]))
     if not k > 0:
         raise ValidationError(f"lambda = {lam:g} leaves the {model.family} density a tail "
                               f"that does not decay (rate {k:g} <= 0): its mass is infinite")
@@ -224,8 +265,30 @@ def _decayed_density(model: Model, a, decay: float) -> np.ndarray:
     closed_form = _CLOSED_FORMS.get(model.family)
     if closed_form is None:
         return _emg_density(model.beta0, model.m, model.sigma, a, decay)
-    rate, hazard = closed_form(model, a)
+    rate, hazard = closed_form(a, **_rate_params(model))
     return rate * np.exp(-hazard - decay * a)
+
+
+def _density_and_jacobian(family: str, theta, lam: float, a: np.ndarray):
+    """reweighted_density at the parameters theta (in PARAMS order) and its Jacobian in
+    theta, shape (ages, parameters), without building a Model.
+
+    A closed form's column is 2*exp(-hazard - (mu+lam)*a)*(d rate - rate*d hazard), and
+    mu's is -a times the density.
+    """
+    closed_form = _CLOSED_FORMS.get(family)
+    if closed_form is None:
+        density, d_density = _emg_density(*theta, a, lam, partials=True)
+        return 2.0 * density, 2.0 * d_density.T
+    params = dict(zip(PARAMS[family], theta))
+    mu = params.pop("mu", 0.0)
+    rate, hazard, d_rate, d_hazard = closed_form(a, **params, partials=True)
+    survival = np.exp(-hazard - (mu + lam) * a)
+    density = 2.0 * (rate * survival)
+    columns = 2.0 * survival * (d_rate - rate * d_hazard)
+    if "mu" in PARAMS[family]:
+        columns = np.vstack((columns, -a * density))
+    return density, columns.T
 
 
 def imt_density(model: Model, a):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationWarning, ValidationError
-from .imt_models import Model, TabulatedRate, erfc
+from .fitter import _least_squares
+from .imt_models import Model, TabulatedRate, _erfc, erfc
 from .io import check_table, r_squared, read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
@@ -120,7 +121,6 @@ def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> 
 
 def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
     """Least-squares erfc-shaped rate closest to a tabulated one."""
-    from scipy import optimize
     ages, values = rate.ages, rate.values
     top = values.max()
     if top <= 0:
@@ -131,16 +131,13 @@ def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
     m_init = float(above[0]) if above.size else float(ages[ages.size // 2])
     sigma_init = max(0.05 * (ages[-1] - ages[0]), 1e-3)
 
-    def residuals(theta):
-        b0, m, s = theta
-        return b0 * erfc((m - ages) / s) - values
+    def residual_and_jacobian(theta):
+        rate, _, d_rate, _ = _erfc(ages, *theta, partials=True)
+        return rate - values, d_rate.T
 
-    sol = optimize.least_squares(
-        residuals,
-        x0=[beta0_init, m_init, sigma_init],
-        bounds=([1e-9, 0.0, 1e-6], [np.inf, np.inf, np.inf]),
-    )
-    b0, m, s = (float(v) for v in sol.x)
+    best = _least_squares(residual_and_jacobian, [beta0_init, m_init, sigma_init],
+                          np.array([1e-9, 0.0, 1e-6]), max_nfev=300, tol=1e-8)
+    b0, m, s = (float(v) for v in best.x)
     model = Model(family="erfc", beta0=b0, m=m, sigma=s)
     return model, erfc_distance(rate, b0, m, s)
 

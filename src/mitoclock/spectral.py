@@ -33,6 +33,7 @@ MAX_ROOT_STEPS = 100  # regula falsi steps allowed before solve_lambda gives up
 DEFAULT_STEP = 0.05
 QUADRATURE_REFINE = 4  # panel subdivisions in the renewal quadrature
 MAX_CELLS = 10**6  # most age cells (a_max / step) any grid may have
+_EXP_SPAN = 600.0  # largest rise of the survival exponent summed with one shift
 
 
 class AgeProfile(NamedTuple):
@@ -95,7 +96,9 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
 
     Without an explicit a_max, the upper end starts at m + 12*sigma (closed
     forms) or the table end and is extended until division survival drops
-    below SURVIVAL_TOL.  Raises ConfigurationError if the rate never
+    below SURVIVAL_TOL, by at most 400 steps of 4*sigma plus twice the plateau
+    length log(1/SURVIVAL_TOL)/rate(m + 12*sigma) (closed forms) or 400
+    quarters of the table.  Raises ConfigurationError if the rate never
     accumulates enough hazard (e.g. a rate that is identically zero), and
     ValidationError if the grid would have more than MAX_CELLS cells.
     """
@@ -106,10 +109,14 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
         if model is not None:
             a_max = model.m + 12.0 * model.sigma
             chunk = 4.0 * model.sigma
+            # past m + 12 sigma a closed-form rate only grows, so survival falls below
+            # SURVIVAL_TOL within log(1/SURVIVAL_TOL)/rate(a_max) more hours: on a slow
+            # plateau that can be far more than 400 chunks of the sigma scale
+            cap = a_max + 400.0 * chunk + 2.0 * math.log(1.0 / SURVIVAL_TOL) / float(rate(a_max))
         else:
             a_max = float(rate.ages[-1])
             chunk = max(0.25 * a_max, 10.0 * step)
-        cap = a_max + 400.0 * chunk
+            cap = a_max + 400.0 * chunk
         while math.exp(-float(rate.hazard(a_max))) >= SURVIVAL_TOL:
             a_max += chunk
             if a_max > cap:
@@ -211,12 +218,27 @@ def equilibrium(rate, mu: float, step: float = DEFAULT_STEP,
     x = np.diff(s)
     e0, e1 = _exp_weights(x)
     q = 2.0 * h * (beta[:-1] * e0 + np.diff(beta) * e1)  # 2 e^{s_j} * panel integral
-    decay = np.exp(-x)
-    phi = np.zeros_like(grid)
-    for j in range(grid.size - 2, -1, -1):
-        phi[j] = decay[j] * phi[j + 1] + q[j]
+    phi = _adjoint(s, q)
     phi /= np.trapezoid(phi * p_hat, grid)
     return EigenPair(lam=lam, grid=grid, p_hat=p_hat, phi=phi)
+
+
+def _adjoint(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """phi solving phi_j = exp(s_j - s_{j+1})*phi_{j+1} + q_j backward from phi = 0 at the top.
+
+    That is phi_j = exp(s_j) * sum_{k >= j} q_k exp(-s_k), one reversed cumulative sum.
+    s is nondecreasing, so it is summed in blocks over which s rises by at most
+    _EXP_SPAN, each shifted by its first s, so that no exponential overflows.
+    """
+    phi = np.zeros_like(s)
+    top = s.size - 1
+    blocks = np.flatnonzero(np.diff((s[:-1] - s[0]) // _EXP_SPAN, prepend=-1.0))
+    for start in blocks[::-1]:
+        block = slice(start, top)
+        ahead = np.cumsum((q[block] * np.exp(s[start] - s[block]))[::-1])[::-1]
+        phi[block] = np.exp(s[block] - s[start]) * ahead + np.exp(s[block] - s[top]) * phi[top]
+        top = start
+    return phi
 
 
 def gre_functional(profile: AgeProfile, adjoint: AgeProfile, lam: float, t: float) -> float:

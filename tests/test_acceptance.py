@@ -15,9 +15,6 @@ import warnings
 
 import numpy as np
 import pytest
-# mitoclock imports each scipy module inside the function that uses it; import them at
-# collection so the runtime gates time each criterion's computation, not a first-use import
-from scipy import integrate, optimize, special  # noqa: F401
 
 import mitoclock as mc
 from mitoclock import spectral

@@ -298,6 +298,19 @@ def test_verify_fraction_with_death_is_decided_by_the_closed_form(tmp_path, caps
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_verify_covers_a_slow_plateau_after_a_narrow_rise(tmp_path, capsys):
+    # survival falls below tolerance only ~2800 sigma past m; the imt-convergence
+    # windows are on the sigma scale, so that suite fails honestly, without an error
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"family": "erfc", "beta0": 0.05, "m": 10, "sigma": 0.1}))
+    for suite in ("eigen", "gre", "fraction"):
+        assert main(["verify", str(path), "--suite", suite]) == 0, suite
+    assert "FAIL" not in capsys.readouterr().out
+    assert main(["verify", str(path), "--suite", "imt-convergence"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL") and "Error" not in out
+
+
 def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
     # a rate that rises within one age step is too sharp for the trapezoid boundary identity
     sharp = {"family": "gamma1", "m": 2.0, "sigma": 0.05}
@@ -328,19 +341,27 @@ def test_module_entry_point_help():
 IMPORT_PROBE = """
 import sys
 
+import numpy as np
+
 import mitoclock
 import mitoclock.cli
+from mitoclock.io import write_columns
 
 
 def loaded(*prefixes):
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
 
-growth_csv, model_json, out = sys.argv[1:]
+growth_csv, hist_csv, model_json, out = sys.argv[1:]
 assert not loaded("scipy"), loaded("scipy")
-assert mitoclock.cli.main(["fit-growth", growth_csv, "--out-prefix", out + "/growth"]) == 0
-assert not loaded("scipy"), loaded("scipy")
-commands = [["simulate", model_json, "--f", "0", "0.6", "--t-end", "10", "--out-prefix", out + "/s"]]
+ages = np.arange(0.0, 80.0, 0.05)
+emg = mitoclock.Model(family="emg", beta0=0.2, m=22.0, sigma=2.5)
+write_columns(out + "/imt_density.csv", ("age", "I"), (ages, mitoclock.imt_density(emg, ages)))
+commands = [["fit-growth", growth_csv, "--out-prefix", out + "/growth"]]
+commands += [["fit-imt", hist_csv, "--dt", "1.25", "--lambda", "0.022", "--family", family,
+              "--out-prefix", out + "/fit_" + family] for family in mitoclock.FAMILIES]
+commands += [["invert", out + "/imt_density.csv", "--out-prefix", out + "/inv"]]
+commands += [["simulate", model_json, "--f", "0", "0.6", "--t-end", "10", "--out-prefix", out + "/s"]]
 commands += [["verify", model_json, "--suite", suite] for suite in mitoclock.cli.SUITES]
 for argv in commands:
     assert mitoclock.cli.main(argv) == 0, argv
@@ -353,8 +374,8 @@ def test_commands_import_only_the_scipy_they_use(tmp_path, data_dir, model_json)
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(data_dir / "growth_curve.csv"), str(model_json),
-         str(tmp_path)],
+        [sys.executable, "-c", IMPORT_PROBE, str(data_dir / "growth_curve.csv"),
+         str(data_dir / "imt_histogram.csv"), str(model_json), str(tmp_path)],
         capture_output=True,
         text=True,
     )

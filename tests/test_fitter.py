@@ -14,6 +14,7 @@ from mitoclock import (
     mass_check,
     reweighted_density,
 )
+from mitoclock.fitter import _least_squares
 
 LAM = 0.022
 BIN_WIDTH = 10.0 / 8.0
@@ -106,6 +107,28 @@ def test_death_family_reduces_to_no_death_when_mu_vanishes():
     assert with_death.model.sigma == pytest.approx(plain.model.sigma, rel=1e-4)
 
 
+def test_death_rate_pinned_at_zero_lands_exactly_on_its_bound():
+    # with this noise the best erfc-mu fit would take mu < 0; clipped steps put it on 0
+    h = synthetic_histogram(mc.Model(family="erfc", beta0=0.15, m=24.0, sigma=3.0),
+                            noise=0.05, seed=0)
+    with pytest.warns(BoundaryWarning, match="mu"):
+        result = fit_imt(h, "erfc-mu", seed=0)
+    assert result.model.mu == 0.0
+
+
+def test_bounded_least_squares_holds_an_outward_variable_on_its_bound():
+    # min |A x - b|^2 over x >= (0, 1): unconstrained, x = (-1, 2); with the bound
+    # x0 = 0 pins and x1 solves the remaining problem, 3/2
+    a = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 2.0]])
+    b = a @ np.array([-1.0, 2.0])
+    x, r, nfev, converged = _least_squares(lambda x: (a @ x - b, a), np.array([3.0, 3.0]),
+                                           np.array([0.0, 1.0]), max_nfev=100, tol=1e-15)
+    assert converged and nfev < 100
+    assert x[0] == 0.0
+    assert x[1] == pytest.approx(1.5, rel=1e-14)
+    np.testing.assert_allclose(r, a @ x - b, rtol=0, atol=1e-15)
+
+
 def test_death_family_mass_is_closer_to_one_on_shipped_data(data_dir):
     h = mc.reweight(mc.normalize(mc.load_histogram(data_dir / "imt_histogram.csv", BIN_WIDTH)), LAM)
     plain = fit_imt(h, "erfc", seed=0)
@@ -166,6 +189,8 @@ def test_nonconvergence_carries_best_result():
         fit_imt(h, "erfc", seed=0, max_iter=2)
     assert excinfo.value.best is not None
     assert excinfo.value.best.model.family == "erfc"
+    # max_iter caps each start's residual-and-Jacobian evaluations
+    assert excinfo.value.best.n_evaluations == 2 * mc.fitter.N_STARTS
 
 
 def test_mass_check_thresholds():

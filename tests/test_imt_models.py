@@ -26,7 +26,7 @@ from mitoclock import (
     reweighted_density,
     solve_lambda,
 )
-from mitoclock.imt_models import _emg_density, reweighted_mass
+from mitoclock.imt_models import _density_and_jacobian, _emg_density, reweighted_mass
 
 FIT_ERFC = Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -415,6 +415,45 @@ def test_erfc_density_evaluates_erfc_once_per_age_array(monkeypatch, model):
     ages = (np.arange(63) + 0.5) * 1.25
     reweighted_density(model, 0.022, ages)
     assert array_shapes == [(63,)]
+
+
+# --- Jacobians in the parameters ---------------------------------------------
+
+FIT_AGES = (np.arange(1, 64) + 0.5) * 1.25  # the midpoints of a 63-bin histogram
+
+
+@given(model=WIDE_MODELS, lam=st.floats(min_value=0.0, max_value=0.06),
+       far=st.floats(min_value=26.0, max_value=27.5))
+@settings(max_examples=150, deadline=None)
+def test_jacobian_matches_central_differences(model, lam, far):
+    names = imt_models.PARAMS[model.family]
+    theta = np.array([getattr(model, name) for name in names])
+    # emg also past z = (m - a)/sigma = 26, where its density takes the erfcx series
+    ages = np.append(FIT_AGES, model.m - model.sigma * np.array([25.5, far]))
+    value, jac = _density_and_jacobian(model.family, theta, lam, ages)
+    assert np.array_equal(value, reweighted_density(model, lam, ages))
+    assert jac.shape == (ages.size, theta.size)
+
+    # each parameter on its own scale (m moves the density on the sigma scale), so that
+    # a partial times its scale is comparable with the density
+    scale = np.array([{"beta0": model.beta0, "m": model.sigma, "sigma": model.sigma,
+                       "mu": 0.01}[name] for name in names])
+    central = np.empty_like(jac)
+    for k in range(theta.size):
+        step = np.zeros_like(theta)
+        step[k] = 1e-7 * scale[k]
+        upper = _density_and_jacobian(model.family, theta + step, lam, ages)[0]
+        lower = _density_and_jacobian(model.family, theta - step, lam, ages)[0]
+        central[:, k] = (upper - lower) / (2.0 * step[k])
+    # a density below 1e-280 carries few digits, and a gamma density has a kink at m
+    shown = (value > 1e-280) & (np.abs(ages - model.m) > 1e-3)
+    scaled = np.abs(jac[shown]) * scale
+    err = np.abs(central[shown] - jac[shown]) * scale
+    # the density carries a rounding error of about eps*|log density| relative, which
+    # the quotient's step of 1e-7 magnifies
+    density = value[shown, None]
+    rounding = 1e-8 * density * (1.0 + np.abs(np.log(density)))
+    assert np.all(err <= 1e-6 * scaled + rounding), (err / (scaled + rounding)).max()
 
 
 # --- model construction and serialization -----------------------------------

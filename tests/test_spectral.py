@@ -14,7 +14,15 @@ from mitoclock import (
     gre_functional,
     solve_lambda,
 )
-from mitoclock.spectral import LAMBDA_MAX, AgeProfile, build_grid, renewal_residual
+from mitoclock.spectral import (
+    LAMBDA_MAX,
+    SURVIVAL_TOL,
+    AgeProfile,
+    _adjoint,
+    _exp_weights,
+    build_grid,
+    renewal_residual,
+)
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
 
@@ -228,3 +236,39 @@ def test_build_grid_rejects_bad_step(step):
     rate = ClosedFormRate(Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451))
     with pytest.raises(ValidationError):
         build_grid(rate, step=step)
+
+
+def test_build_grid_covers_a_slow_plateau_after_a_narrow_rise():
+    # survival reaches SURVIVAL_TOL near 286 h, ~2800 sigma past m (the cap was 1612 sigma)
+    rate = ClosedFormRate(Model(family="erfc", beta0=0.05, m=10.0, sigma=0.1))
+    grid = build_grid(rate, step=0.05)
+    assert float(np.exp(-rate.hazard(grid[-1]))) < SURVIVAL_TOL
+    assert 280.0 < grid[-1] < 290.0
+    pair = equilibrium(rate, 0.0, grid=grid)
+    assert abs(renewal_residual(rate, 0.0, pair.lam, grid)) < 1e-10
+
+
+def adjoint_by_recursion(s, q):
+    """phi_j = exp(-(s_{j+1} - s_j)) * phi_{j+1} + q_j backward from phi = 0 at the top."""
+    decay = np.exp(-np.diff(s))
+    phi = np.zeros_like(s)
+    for j in range(s.size - 2, -1, -1):
+        phi[j] = decay[j] * phi[j + 1] + q[j]
+    return phi
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 20.0])
+def test_adjoint_sum_matches_the_recursion(mu):
+    # on a grid to 3000 h the survival exponent s rises by ~1100, more than one
+    # exponential shift can span
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    lam = solve_lambda(rate, mu)
+    grid = np.arange(0.0, 3000.0 + 1e-9, 0.05)
+    beta = rate(grid)
+    s = rate.hazard(grid) + (mu + lam) * grid
+    assert s[-1] - s[0] > 1000.0
+    e0, e1 = _exp_weights(np.diff(s))
+    q = 2.0 * np.diff(grid) * (beta[:-1] * e0 + np.diff(beta) * e1)
+    got = _adjoint(s, q)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, adjoint_by_recursion(s, q), rtol=1e-12, atol=0)

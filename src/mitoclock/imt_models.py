@@ -55,7 +55,14 @@ FAMILIES = tuple(PARAMS)
 _FIELDS = {"beta0": True, "m": False, "sigma": True, "mu": False}
 
 _SQRT_PI = math.sqrt(math.pi)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_RULE = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_legendre(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, shape (panels, k), of a Gauss-Legendre rule on every panel."""
+    half = np.diff(edges)[:, None] / 2.0
+    nodes, weights = rule
+    return edges[:-1, None] + half * (1.0 + nodes), half * weights
 
 
 def erfc(z):
@@ -253,10 +260,9 @@ def _mass(model: Model, lam: float) -> float:
                               f"that does not decay (rate {k:g} <= 0): its mass is infinite")
     left = np.linspace(0.0, model.m, math.ceil(model.m / model.sigma) + 1)[:-1]
     edges = np.concatenate((left, np.linspace(model.m, b, 41)))
-    half = np.diff(edges)[:, None] / 2.0
-    ages = np.append((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel(), b)
-    f = _decayed_density(model, ages, decay)
-    return float(np.sum(half * _GL_WEIGHTS * f[:-1].reshape(half.size, -1))) + f[-1] / k
+    ages, weights = _gauss_legendre(edges, _GL_RULE)
+    f = _decayed_density(model, np.append(ages.ravel(), b), decay)
+    return float(np.sum(weights * f[:-1].reshape(weights.shape))) + f[-1] / k
 
 
 def _decayed_density(model: Model, a, decay: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import GridTooSmallError, ValidationError
+from .errors import ConfigurationError, GridTooSmallError, ValidationError
 from .io import check_table, write_columns
 from .spectral import AgeProfile
 
@@ -122,6 +122,8 @@ class _CellGrid:
         self.hazard = np.asarray(rate.hazard(self.centers), dtype=float)
         # hazard picked up while a cell's content ages by one step
         self.dh = dh = np.asarray(rate.hazard(self.centers + dt), dtype=float) - self.hazard
+        if not (np.isfinite(self.beta).all() and np.isfinite(dh).all()):
+            raise ConfigurationError("division rate or hazard is not finite on the age cells")
         x = dh + mu * dt
         self.keep = np.exp(-x)
         removed = -np.expm1(-x)
@@ -148,9 +150,18 @@ def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> 
 def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     """Run the quiescence model; all series are sampled at every step.
 
-    Raises GridTooSmallError if noticeable mass reaches the top age cell.
+    snapshots holds one (time, age profile) pair per requested snapshot time,
+    in the order given, each at the step nearest to it.  Raises
+    ValidationError for a snapshot time that is not finite or lies outside
+    [0, t_end], and GridTooSmallError if noticeable mass reaches the top age
+    cell.
     """
     dt = config.dt
+    snap_times = [] if snapshot_times is None else [float(t) for t in snapshot_times]
+    for t in snap_times:
+        if not (math.isfinite(t) and 0.0 <= t <= config.t_end):
+            raise ValidationError(f"snapshot time {t} is not within [0, t_end = {config.t_end}]")
+    snap_steps = [int(round(t / dt)) for t in snap_times]
     a_max = config.a_max
     if a_max is None:
         a_max = float(spectral.build_grid(config.rate, step=dt)[-1])
@@ -172,10 +183,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     series_births = np.empty(steps + 1)
     series_influx = np.empty(steps + 1)
 
-    snap_steps = {}
-    if snapshot_times is not None:
-        snap_steps = {int(round(t / dt)): float(t) for t in snapshot_times}
-    snapshots = []
+    taken = dict.fromkeys(snap_steps)
 
     for n in range(steps + 1):
         divisions = float(cells.div_frac @ m)
@@ -184,8 +192,8 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
         series_q[n] = q
         series_births[n] = 2.0 * (1.0 - f) * divisions / dt
         series_influx[n] = 2.0 * f * divisions / dt
-        if n in snap_steps:
-            snapshots.append((snap_steps[n], m / dt))
+        if n in taken:
+            taken[n] = m / dt
         if n == steps:
             break
         if m[-1] > ESCAPE_TOL * max(total_p + q, 1e-300):
@@ -205,7 +213,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
         births=series_births,
         quiescence_influx=series_influx,
         final_profile=AgeProfile(cells.centers, m / dt),
-        snapshots=snapshots,
+        snapshots=[(t, taken[k]) for t, k in zip(snap_times, snap_steps)],
     )
 
 

@@ -1,19 +1,23 @@
 """Growth eigenproblem for the age-structured renewal dynamics.
 
-Given a division rate beta(a) and a death rate mu, the asymptotic growth
-rate lam is the unique root of
+Given a division rate beta(a) with hazard H(a) = integral_0^a beta and a
+death rate mu, the asymptotic growth rate lam is the unique root of
 
-    g(lam) = 2 * integral_0^inf beta(a) exp(-integral_0^a (beta + mu + lam)) da - 1,
+    g(lam) = 2 * integral_0^inf beta(a) exp(-H(a) - k*a) da - 1,   k = mu + lam,
 
 which is strictly decreasing in lam.  The associated equilibrium age profile
 and its adjoint weight are tabulated on a uniform grid and normalized so that
 integral(p_hat) = 1 and integral(p_hat * phi) = 1.
 
-All quadrature on the grid uses exponentially fitted panel weights: within a
-panel the rate is linear and the survival exponent is linear, so the scheme
-is exact for piecewise-constant rates.  The root residual, the renewal
-boundary identity and the adjoint normalization then close to root-finder
-tolerance rather than O(step^2), which the rest of the package relies on.
+The renewal integral is taken by parts over the grid [0, A], with s = H + k*a,
+
+    2 * integral beta exp(-s) = 2 * (1 - exp(-s(A)) - k * integral exp(-s)),
+
+on NODES_PER_CELL Gauss-Legendre nodes per grid cell, reading the hazard alone:
+exp(-s) is one derivative smoother than beta * exp(-s), and the gamma rates
+have a kink at m inside a cell.  Each cell's adjoint source uses the same
+identity.  lam enters only through k, so the mu-shift identity and the root
+residual close to root-finder tolerance, which the package relies on.
 """
 
 from __future__ import annotations
@@ -25,15 +29,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
+from .imt_models import _gauss_legendre
 from .io import write_columns
 
 SURVIVAL_TOL = 1e-12  # divergence check: exp(-hazard) must fall below this
 LAMBDA_MAX = 10.0
 MAX_ROOT_STEPS = 100  # regula falsi steps allowed before solve_lambda gives up
 DEFAULT_STEP = 0.05
-QUADRATURE_REFINE = 4  # panel subdivisions in the renewal quadrature
+NODES_PER_CELL = 4  # Gauss-Legendre nodes per grid cell in the renewal quadrature
 MAX_CELLS = 10**6  # most age cells (a_max / step) any grid may have
 _EXP_SPAN = 600.0  # largest rise of the survival exponent summed with one shift
+_CELL_RULE = np.polynomial.legendre.leggauss(NODES_PER_CELL)
 
 
 class AgeProfile(NamedTuple):
@@ -62,33 +68,33 @@ class EigenPair:
         write_columns(path, ("age", "p_hat", "phi"), (self.grid, self.p_hat, self.phi))
 
 
-def _exp_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Panel weights E0(x) = (1-e^-x)/x and E1(x) = (1-(1+x)e^-x)/x^2."""
-    small = np.abs(x) < 1e-5
-    xs = np.where(small, 1.0, x)  # placeholder to avoid 0/0; overwritten below
-    ex = np.exp(-xs)
-    e0 = (1.0 - ex) / xs
-    e1 = (1.0 - (1.0 + xs) * ex) / (xs * xs)
-    e0 = np.where(small, 1.0 - x / 2.0 + x * x / 6.0, e0)
-    e1 = np.where(small, 0.5 - x / 3.0 + x * x / 8.0, e1)
-    return e0, e1
+class _RenewalTable(NamedTuple):
+    """The hazard on the Gauss-Legendre nodes of every grid cell and at the grid's top A."""
+
+    ages: np.ndarray  # nodes, shape (cells, NODES_PER_CELL), as are weights and hazard
+    weights: np.ndarray
+    hazard: np.ndarray
+    top: float
+    hazard_top: float
 
 
-def _refine_grid(grid: np.ndarray, k: int) -> np.ndarray:
-    offsets = np.arange(k) / k
-    fine = (grid[:-1, None] + np.diff(grid)[:, None] * offsets).ravel()
-    return np.append(fine, grid[-1])
+def _renewal_table(rate, grid: np.ndarray) -> _RenewalTable:
+    ages, weights = _gauss_legendre(grid, _CELL_RULE)
+    hazard = np.asarray(rate.hazard(np.append(ages.ravel(), grid[-1])), dtype=float)
+    return _RenewalTable(ages, weights, hazard[:-1].reshape(ages.shape), grid[-1], hazard[-1])
 
 
-def _renewal_value(beta: np.ndarray, hazard: np.ndarray, grid: np.ndarray,
-                   mu: float, lam: float) -> float:
-    """2 * integral of beta * exp(-hazard - (mu+lam)a) over the grid."""
-    s = hazard + (mu + lam) * grid
-    h = np.diff(grid)
-    x = np.diff(s)
-    e0, e1 = _exp_weights(x)
-    panels = h * np.exp(-s[:-1]) * (beta[:-1] * e0 + np.diff(beta) * e1)
-    return 2.0 * float(panels.sum())
+def _renewal_value(table: _RenewalTable, k: float) -> float:
+    """2 * integral of beta * exp(-hazard - k*a) over the grid, by parts."""
+    survival = np.exp(-(table.hazard + k * table.ages))
+    tail = float(np.exp(-(table.hazard_top + k * table.top)))
+    return 2.0 * (1.0 - tail - k * float(np.sum(table.weights * survival)))
+
+
+def _cell_sources(table: _RenewalTable, s: np.ndarray, k: float) -> np.ndarray:
+    """q_j = 2 exp(s_j) * integral of beta * exp(-s) over cell j, by parts; no exponent is > 0."""
+    inner = np.sum(table.weights * np.exp(s[:-1, None] - (table.hazard + k * table.ages)), axis=1)
+    return 2.0 * -np.expm1(s[:-1] - s[1:]) - 2.0 * k * inner
 
 
 def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> np.ndarray:
@@ -142,21 +148,23 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
     Requires a finite mu >= 0 and a divergent division rate (survival below
     SURVIVAL_TOL at the top of the grid).
     """
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ValidationError(f"death rate must be finite and nonnegative, got {mu}")
     if grid is None:
         grid = build_grid(rate, step)
-    fine = _refine_grid(grid, QUADRATURE_REFINE)
-    beta = np.asarray(rate(fine), dtype=float)
-    hazard = np.asarray(rate.hazard(fine), dtype=float)
-    if math.exp(-float(hazard[-1])) >= SURVIVAL_TOL:
+    return _root(_renewal_table(rate, grid), mu)
+
+
+def _root(table: _RenewalTable, mu: float) -> float:
+    """solve_lambda on a table that equilibrium reuses for its adjoint sources."""
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValidationError(f"death rate must be finite and nonnegative, got {mu}")
+    if math.exp(-table.hazard_top) >= SURVIVAL_TOL:
         raise ConfigurationError(
-            f"division survival at the grid end ({math.exp(-float(hazard[-1])):.2e}) "
+            f"division survival at the grid end ({math.exp(-table.hazard_top):.2e}) "
             f"exceeds {SURVIVAL_TOL:g}; extend the grid or check the rate"
         )
 
     def g(lam):
-        value = _renewal_value(beta, hazard, fine, mu, lam) - 1.0
+        value = _renewal_value(table, mu + lam) - 1.0
         if not math.isfinite(value):
             raise ConfigurationError(f"renewal function is {value} at lambda = {lam}")
         return value
@@ -191,10 +199,7 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
 
 def renewal_residual(rate, mu: float, lam: float, grid: np.ndarray) -> float:
     """g(lam) for a given growth rate; zero at the solved eigenvalue."""
-    fine = _refine_grid(grid, QUADRATURE_REFINE)
-    beta = np.asarray(rate(fine), dtype=float)
-    hazard = np.asarray(rate.hazard(fine), dtype=float)
-    return _renewal_value(beta, hazard, fine, mu, lam) - 1.0
+    return _renewal_value(_renewal_table(rate, grid), mu + lam) - 1.0
 
 
 def equilibrium(rate, mu: float, step: float = DEFAULT_STEP,
@@ -208,17 +213,12 @@ def equilibrium(rate, mu: float, step: float = DEFAULT_STEP,
     """
     if grid is None:
         grid = build_grid(rate, step)
-    lam = solve_lambda(rate, mu, grid=grid)
-    beta = np.asarray(rate(grid), dtype=float)
+    table = _renewal_table(rate, grid)
+    lam = _root(table, mu)
     s = np.asarray(rate.hazard(grid), dtype=float) + (mu + lam) * grid
     u = np.exp(-s)
     p_hat = u / np.trapezoid(u, grid)
-
-    h = np.diff(grid)
-    x = np.diff(s)
-    e0, e1 = _exp_weights(x)
-    q = 2.0 * h * (beta[:-1] * e0 + np.diff(beta) * e1)  # 2 e^{s_j} * panel integral
-    phi = _adjoint(s, q)
+    phi = _adjoint(s, _cell_sources(table, s, mu + lam))
     phi /= np.trapezoid(phi * p_hat, grid)
     return EigenPair(lam=lam, grid=grid, p_hat=p_hat, phi=phi)
 
@@ -244,8 +244,10 @@ def _adjoint(s: np.ndarray, q: np.ndarray) -> np.ndarray:
 def gre_functional(profile: AgeProfile, adjoint: AgeProfile, lam: float, t: float) -> float:
     """Conserved weighted mass: exp(-lam*t) * integral(profile * adjoint).
 
-    Constant along exact solutions of the renewal dynamics; its numerical
-    drift measures scheme dissipation.
+    Constant along exact solutions of the renewal dynamics.  Along the
+    simulator's lockstep scheme it drifts as exp((lam_d - lam)*t), where lam_d
+    is the growth rate of the scheme's own newborn step, so its drift measures
+    that growth-rate bias.
     """
     ages, values = np.asarray(profile.ages), np.asarray(profile.values)
     phi_ages, phi_values = np.asarray(adjoint.ages), np.asarray(adjoint.values)

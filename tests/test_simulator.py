@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mitoclock import (
     ClosedFormRate,
+    ConfigurationError,
     CustomProfile,
     GridTooSmallError,
     Model,
@@ -361,6 +362,50 @@ def test_snapshots_and_csv_round_trip(tmp_path):
     out.profile_to_csv(tmp_path / "profile.csv")
     prof = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1)
     np.testing.assert_allclose(prof[:, 0], out.final_profile.ages)
+
+
+def test_snapshots_one_per_requested_time_in_order():
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    config = SimConfig(rate=rate, mu=FIT_ERFC_MU.mu, f=0.0, t_end=10.0, dt=0.05)
+    # 5.0 and 5.01 fall on the same step; each still gets its own snapshot
+    out = simulate(config, snapshot_times=[10.0, 5.0, 5.01, 0.0])
+    assert [t for t, _ in out.snapshots] == [10.0, 5.0, 5.01, 0.0]
+    np.testing.assert_array_equal(out.snapshots[1][1], out.snapshots[2][1])
+    np.testing.assert_array_equal(out.snapshots[0][1], out.final_profile.values)
+
+
+@pytest.mark.parametrize("t", [50.0, -3.0, float("nan"), float("inf")])
+def test_snapshot_time_outside_the_run_rejected(t):
+    config = SimConfig(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.0, t_end=10.0, dt=0.05)
+    with pytest.raises(ValidationError, match="snapshot time"):
+        simulate(config, snapshot_times=[5.0, t])
+
+
+class _NanHazard(ClosedFormRate):
+    """A rate whose hazard evaluates to NaN."""
+
+    def hazard(self, a):
+        return np.full(np.shape(a), np.nan)
+
+
+class _NanRate(ClosedFormRate):
+    """A divergent hazard with a rate that evaluates to NaN."""
+
+    def __call__(self, a):
+        return np.full(np.shape(a), np.nan)
+
+
+def test_non_finite_hazard_on_the_cells_rejected():
+    rate = _NanHazard(Model(family="gamma2", m=17.0, sigma=2.0))
+    start = CustomProfile(np.array([0.0, 30.0]), np.array([0.1, 0.1]))
+    config = SimConfig(rate=rate, mu=0.0, f=0.0, t_end=10.0, a_max=215.0, initial=start)
+    with pytest.raises(ConfigurationError, match="not finite on the age cells"):
+        simulate(config)
+
+
+def test_non_finite_rate_on_the_cells_rejected():
+    with pytest.raises(ConfigurationError, match="not finite on the age cells"):
+        imt_experiment(_NanRate(FIT_ERFC), 0.0, 5.0, 80.0)
 
 
 # --- labeled-cohort observation window ------------------------------------

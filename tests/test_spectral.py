@@ -14,12 +14,14 @@ from mitoclock import (
     gre_functional,
     solve_lambda,
 )
+from mitoclock.imt_models import reweighted_mass
 from mitoclock.spectral import (
     LAMBDA_MAX,
     SURVIVAL_TOL,
     AgeProfile,
     _adjoint,
-    _exp_weights,
+    _cell_sources,
+    _renewal_table,
     build_grid,
     renewal_residual,
 )
@@ -114,16 +116,39 @@ def test_solve_lambda_matches_brentq():
         assert abs(renewal_residual(rate, mu, lam, grid)) <= 1e-12, model
 
 
-class _NanRate(ClosedFormRate):
-    """A divergent hazard with a rate that evaluates to NaN."""
+@given(
+    family=st.sampled_from(["gamma1", "gamma2", "erfc", "erfc-mu"]),
+    m=st.floats(min_value=0.0, max_value=30.0),
+    sigma=st.floats(min_value=0.1, max_value=5.0),
+    beta0=st.floats(min_value=0.02, max_value=0.5),
+    mu=st.floats(min_value=0.0, max_value=0.05),
+)
+@settings(max_examples=40, deadline=None)
+def test_growth_rate_gives_unit_reweighted_mass(family, m, sigma, beta0, mu):
+    # reweighted_mass is the independent reference: 16-point Gauss-Legendre panels at most
+    # sigma wide, split at m.  The renewal rule is exact to rounding for the smooth erfc
+    # rates; the gamma rates keep a kink at m inside a cell.
+    params = {"m": m, "sigma": sigma}
+    if family.startswith("erfc"):
+        params["beta0"] = beta0
+    if family == "erfc-mu":
+        params["mu"] = mu
+    model = Model(family=family, **params)
+    lam = solve_lambda(ClosedFormRate(model), model.death_rate)
+    tol = 1e-11 if family.startswith("erfc") else 2e-5
+    assert abs(reweighted_mass(model, lam) - 1.0) <= tol
 
-    def __call__(self, a):
+
+class _NanHazard(ClosedFormRate):
+    """A divergent rate whose hazard evaluates to NaN."""
+
+    def hazard(self, a):
         return np.full(np.shape(a), np.nan)
 
 
 def test_non_finite_renewal_value_raises():
     with pytest.raises(ConfigurationError, match="renewal function is nan"):
-        solve_lambda(_NanRate(FIT_ERFC_MU), 0.0)
+        solve_lambda(_NanHazard(FIT_ERFC_MU), 0.0)
 
 
 def test_zero_rate_rejected():
@@ -264,11 +289,9 @@ def test_adjoint_sum_matches_the_recursion(mu):
     rate = ClosedFormRate(FIT_ERFC_MU)
     lam = solve_lambda(rate, mu)
     grid = np.arange(0.0, 3000.0 + 1e-9, 0.05)
-    beta = rate(grid)
     s = rate.hazard(grid) + (mu + lam) * grid
     assert s[-1] - s[0] > 1000.0
-    e0, e1 = _exp_weights(np.diff(s))
-    q = 2.0 * np.diff(grid) * (beta[:-1] * e0 + np.diff(beta) * e1)
+    q = _cell_sources(_renewal_table(rate, grid), s, mu + lam)
     got = _adjoint(s, q)
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got, adjoint_by_recursion(s, q), rtol=1e-12, atol=0)

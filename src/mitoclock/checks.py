@@ -87,18 +87,19 @@ def _verify_imt_convergence(model):
 
 
 def predicted_fraction(config, t0: float) -> float:
-    """The labelled fraction F the scheme must give at t0, from its own division series.
+    """The labelled fraction F the scheme must give at t0, from its own arrival series.
 
-    With d_k = dt*(births_k + quiescence_influx_k)/2 the division mass of step k < t0/dt and
-    Q empty at t = 0, F = f*S / (f*S + (1-f)*D), where S = sum d_k (1 - dt*mu_q)^(t0/dt-1-k),
-    D = sum d_k.
+    With Q empty at t = 0 and K = t0/dt steps, F = S / (S + D), where
+    S = dt * sum_{k<K} quiescence_influx_k (1 - dt*mu_q)^(K-1-k) is the quiescent pool the
+    arrivals leave at t0 and D = dt * sum_{k<K} births_k the mass that entered P.  Both
+    series record arriving mass, so the newborns' arrival factors enter S and D alike.
     """
     out = simulator.simulate(config)
     k = int(round(t0 / config.dt))
-    d = config.dt * (out.births[:k] + out.quiescence_influx[:k]) / 2.0
     decay = (1.0 - config.dt * config.quiescent_death_rate) ** np.arange(k - 1, -1, -1)
-    s, total = float(d @ decay), float(d.sum())
-    return config.f * s / (config.f * s + (1.0 - config.f) * total)
+    s = config.dt * float(out.quiescence_influx[:k] @ decay)
+    total = config.dt * float(out.births[:k].sum())
+    return s / (s + total)
 
 
 def _verify_fraction(model):

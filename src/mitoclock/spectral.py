@@ -14,10 +14,11 @@ The renewal integral is taken by parts over the grid [0, A], with s = H + k*a,
     2 * integral beta exp(-s) = 2 * (1 - exp(-s(A)) - k * integral exp(-s)),
 
 on NODES_PER_CELL Gauss-Legendre nodes per grid cell, reading the hazard alone:
-exp(-s) is one derivative smoother than beta * exp(-s), and the gamma rates
-have a kink at m inside a cell.  Each cell's adjoint source uses the same
-identity.  lam enters only through k, so the mu-shift identity and the root
-residual close to root-finder tolerance, which the package relies on.
+exp(-s) is one derivative smoother than beta * exp(-s).  The gamma rates have a
+kink at m, so the cell that holds a closed-form rate's m is split there into
+two panels.  Each cell's adjoint source uses the same identity.  lam enters
+only through k, so the mu-shift identity and the root residual close to
+root-finder tolerance, which the package relies on.
 """
 
 from __future__ import annotations
@@ -69,19 +70,30 @@ class EigenPair:
 
 
 class _RenewalTable(NamedTuple):
-    """The hazard on the Gauss-Legendre nodes of every grid cell and at the grid's top A."""
+    """The hazard on the Gauss-Legendre nodes of every grid cell and at the grid's top A.
 
-    ages: np.ndarray  # nodes, shape (cells, NODES_PER_CELL), as are weights and hazard
+    The cell that holds a closed-form rate's m is split there, as `imt_models._mass`
+    splits its panels, so that no panel straddles the gamma rates' kink.
+    """
+
+    ages: np.ndarray  # nodes, shape (panels, NODES_PER_CELL), as are weights and hazard
     weights: np.ndarray
     hazard: np.ndarray
+    cell: np.ndarray  # the grid cell each panel lies in
     top: float
     hazard_top: float
 
 
 def _renewal_table(rate, grid: np.ndarray) -> _RenewalTable:
-    ages, weights = _gauss_legendre(grid, _CELL_RULE)
+    edges = grid
+    m = getattr(getattr(rate, "model", None), "m", None)
+    if m is not None and grid[0] < m < grid[-1] and m not in grid:
+        edges = np.insert(grid, np.searchsorted(grid, m), m)
+    ages, weights = _gauss_legendre(edges, _CELL_RULE)
+    cell = np.searchsorted(grid, edges[:-1], side="right") - 1
     hazard = np.asarray(rate.hazard(np.append(ages.ravel(), grid[-1])), dtype=float)
-    return _RenewalTable(ages, weights, hazard[:-1].reshape(ages.shape), grid[-1], hazard[-1])
+    return _RenewalTable(ages, weights, hazard[:-1].reshape(ages.shape), cell, grid[-1],
+                         hazard[-1])
 
 
 def _renewal_value(table: _RenewalTable, k: float) -> float:
@@ -93,7 +105,9 @@ def _renewal_value(table: _RenewalTable, k: float) -> float:
 
 def _cell_sources(table: _RenewalTable, s: np.ndarray, k: float) -> np.ndarray:
     """q_j = 2 exp(s_j) * integral of beta * exp(-s) over cell j, by parts; no exponent is > 0."""
-    inner = np.sum(table.weights * np.exp(s[:-1, None] - (table.hazard + k * table.ages)), axis=1)
+    exponent = s[table.cell, None] - (table.hazard + k * table.ages)
+    inner = np.sum(table.weights * np.exp(exponent), axis=1)
+    inner = np.bincount(table.cell, weights=inner)  # the two halves of a split cell
     return 2.0 * -np.expm1(s[:-1] - s[1:]) - 2.0 * k * inner
 
 

@@ -26,3 +26,12 @@ def test_gap_trend_allows_ties_only_below_the_floor(monkeypatch, gaps, ok):
     _, decreasing = checks.SUITES["imt-convergence"](MODEL)
     assert decreasing.ok is ok
     assert decreasing.value == gaps
+
+
+def test_gre_passes_under_heavy_death():
+    # the reference erfc-mu shape at mu = 0.5, mu*dt = 0.025: the scheme's growth rate
+    # must match lambda to O(dt^2), or the weighted mass drifts by percents over 100 h
+    model = mc.Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.5)
+    drift, nonnegative = checks.SUITES["gre"](model)
+    assert drift.ok and nonnegative.ok
+    assert drift.value < 1e-3

@@ -22,7 +22,7 @@ from mitoclock import (
     solve_lambda,
 )
 from mitoclock.checks import predicted_fraction
-from mitoclock.simulator import MAX_STEPS, _CellGrid, _equilibrium_masses
+from mitoclock.simulator import ESCAPE_TOL, MAX_STEPS, _CellGrid, _equilibrium_masses
 from mitoclock.spectral import MAX_CELLS, build_grid
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -254,16 +254,107 @@ def test_population_ignores_f_until_treated_daughters_can_divide(family, f, dt):
 @settings(max_examples=25, deadline=None)
 def test_constant_rate_closes_both_pools_with_death(beta, mu, mu_q, f, dt):
     # with beta constant every cell keeps and divides the same share per step, and
-    # no mass reaches the top cell by t_end, so P and Q follow scalar recursions
+    # no mass reaches the top cell by t_end, so P and Q follow scalar recursions;
+    # daughters take half a step of death on entering P
     config = SimConfig(rate=TabulatedRate([0.0, 300.0], [beta, beta]), mu=mu, f=f, t_end=50.0,
                        dt=dt, a_max=220.0, mu_q=mu_q, initial=bump_profile())
     out = simulate(config)
     keep = math.exp(-(beta + mu) * dt)
-    growth = keep + 2.0 * (1.0 - f) * (1.0 - keep) * beta / (beta + mu)
+    newborn = 2.0 * (1.0 - f) * math.exp(-mu * dt / 2.0)
+    growth = keep + newborn * (1.0 - keep) * beta / (beta + mu)
     np.testing.assert_allclose(out.P[1:], growth * out.P[:-1], rtol=1e-12, atol=0)
     inflow = (1.0 - dt * mu_q) * out.Q[:-1] + dt * out.quiescence_influx[:-1]
     # atol: a subnormal f gives subnormal Q values, which carry no relative precision
     np.testing.assert_allclose(out.Q[1:], inflow, rtol=1e-12, atol=1e-300)
+
+
+def shifted_run(config, snapshot_times=()):
+    """simulate by a loop that shifts the whole age array up one cell every step.
+
+    Returns (P, Q, births, influx, snapshots, final profile), or raises the
+    GridTooSmallError simulate must raise.
+    """
+    dt, f, mu_q = config.dt, config.f, config.quiescent_death_rate
+    a_max = config.a_max
+    if a_max is None:
+        a_max = float(build_grid(config.rate, step=dt)[-1])
+    cells = _CellGrid(config.rate, config.mu, dt, a_max)
+    init = config.initial
+    if init is None:
+        m = _equilibrium_masses(config.rate, config.mu, cells, None)
+    else:
+        inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
+        m = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
+    newborn = 2.0 * (1.0 - f) * math.exp(-config.mu * dt / 2.0)
+    into_q = 2.0 * f * math.exp(-mu_q * dt / 2.0)
+    steps = int(round(config.t_end / dt))
+    snap_steps = {int(round(t / dt)) for t in snapshot_times}
+    q, rows, snaps = 0.0, [], {}
+    for n in range(steps + 1):
+        divisions = float(cells.div_frac @ m)
+        total_p = float(m.sum())
+        rows.append((total_p, q, newborn * divisions / dt, into_q * divisions / dt))
+        if n in snap_steps:
+            snaps[n] = m / dt
+        if n == steps:
+            break
+        if m[-1] > ESCAPE_TOL * max(total_p + q, 1e-300):
+            raise GridTooSmallError(
+                f"age profile reached a_max = {a_max:g} at t = {n * dt:g} "
+                f"(top cell holds {m[-1]:.3e}); increase a_max"
+            )
+        m[1:] = m[:-1] * cells.keep[:-1]
+        m[0] = newborn * divisions
+        q = q + into_q * divisions - dt * mu_q * q
+    p, q, births, influx = np.array(rows).T
+    return p, q, births, influx, [snaps[int(round(t / dt))] for t in snapshot_times], m / dt
+
+
+def custom_start(width, heights):
+    """A piecewise-linear start on [0, width], zero at both ends."""
+    ages = np.linspace(0.0, width, len(heights) + 2)
+    return CustomProfile(ages, np.concatenate(([0.0], heights, [0.0])))
+
+
+STARTS = st.one_of(
+    st.none(),
+    st.builds(custom_start, st.floats(min_value=0.5, max_value=20.0),
+              st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)),
+)
+DEATH = st.floats(min_value=0.0, max_value=1.0)
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_RATES)
+@given(f=FRACTIONS, mu=DEATH, mu_q=st.one_of(st.none(), DEATH), dt=STEPS, start=STARTS,
+       snaps=st.lists(st.floats(min_value=0.0, max_value=15.0), max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_simulate_matches_the_shift_loop(family, f, mu, mu_q, dt, start, snaps):
+    config = SimConfig(rate=CLOSED_FORM_RATES[family], mu=mu, f=f, t_end=15.0, dt=dt,
+                       mu_q=mu_q, initial=start)
+    p, q, births, influx, snapshots, final = shifted_run(config, snaps)
+    out = simulate(config, snapshot_times=snaps)
+    # atol: a subnormal f gives subnormal Q values, which carry no relative precision
+    close = dict(rtol=1e-13, atol=1e-300)
+    for got, want in ((out.P, p), (out.Q, q), (out.N, p + q), (out.births, births),
+                      (out.quiescence_influx, influx), (out.final_profile.values, final)):
+        np.testing.assert_allclose(got, want, **close)
+    assert [t for t, _ in out.snapshots] == snaps
+    for (_, got), want in zip(out.snapshots, snapshots):
+        np.testing.assert_allclose(got, want, **close)
+
+
+@given(a_max=st.floats(min_value=4.0, max_value=14.0),
+       width=st.floats(min_value=0.5, max_value=3.0), f=FRACTIONS, dt=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_escape_is_reported_at_the_shift_loops_step(a_max, width, f, dt):
+    # gamma1 (m 10) from a flat start: cohorts reach a_max before most of them divide
+    config = SimConfig(rate=CLOSED_FORM_RATES["gamma1"], mu=0.0, f=f, t_end=30.0, dt=dt,
+                       a_max=a_max, initial=custom_start(width, [0.1]))
+    with pytest.raises(GridTooSmallError) as expected:
+        shifted_run(config)
+    with pytest.raises(GridTooSmallError) as raised:
+        simulate(config)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_quiescent_fraction_with_death_stays_close():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -124,10 +124,14 @@ def test_solve_lambda_matches_brentq():
     mu=st.floats(min_value=0.0, max_value=0.05),
 )
 @settings(max_examples=40, deadline=None)
+# the kink at m inside the first cell, which holds most of the division mass
+@example(family="gamma1", m=0.03125, sigma=0.109375, beta0=0.5, mu=0.0)
 def test_growth_rate_gives_unit_reweighted_mass(family, m, sigma, beta0, mu):
     # reweighted_mass is the independent reference: 16-point Gauss-Legendre panels at most
-    # sigma wide, split at m.  The renewal rule is exact to rounding for the smooth erfc
-    # rates; the gamma rates keep a kink at m inside a cell.
+    # sigma wide, split at m.  The renewal rule splits the cell that holds m in the same
+    # place, so the gamma rates' kink at m falls on a panel edge.  It is exact to rounding
+    # for the smooth erfc rates; the gamma bound leaves room for the fastest draws
+    # (m 0, sigma 0.1), whose survival falls over two grid cells.
     params = {"m": m, "sigma": sigma}
     if family.startswith("erfc"):
         params["beta0"] = beta0
@@ -135,7 +139,7 @@ def test_growth_rate_gives_unit_reweighted_mass(family, m, sigma, beta0, mu):
         params["mu"] = mu
     model = Model(family=family, **params)
     lam = solve_lambda(ClosedFormRate(model), model.death_rate)
-    tol = 1e-11 if family.startswith("erfc") else 2e-5
+    tol = 1e-11 if family.startswith("erfc") else 1e-9
     assert abs(reweighted_mass(model, lam) - 1.0) <= tol
 
 

@@ -68,9 +68,13 @@ def _verify_gre(model):
     ]
     drift = max(abs(v / values[0] - 1.0) for v in values)
     lowest = min(float(snap.min()) for _, snap in out.snapshots)
+    # the scheme's own growth rate: the drift is exp((lambda_d - lambda) t) - 1
+    gap = abs(simulator.scheme_growth_rate(config) - pair.lam)
+    bound = config.dt**2 * (1e-5 + 1e-2 * mu)
     return [
         Check("entropy-weighted mass drift < 0.5% over 100 h", drift < 0.005, drift),
         Check("age profile nonnegative at every snapshot", lowest >= 0, lowest),
+        Check(f"|lambda_d - lambda| <= dt^2 (1e-5 + 1e-2 mu) = {bound:.3g}", gap <= bound, gap),
     ]
 
 
@@ -94,7 +98,10 @@ def predicted_fraction(config, t0: float) -> float:
     arrivals leave at t0 and D = dt * sum_{k<K} births_k the mass that entered P.  Both
     series record arriving mass, so the newborns' arrival factors enter S and D alike.
     """
-    out = simulator.simulate(config)
+    return _predicted(simulator.simulate(config), config, t0)
+
+
+def _predicted(out, config, t0: float) -> float:
     k = int(round(t0 / config.dt))
     decay = (1.0 - config.dt * config.quiescent_death_rate) ** np.arange(k - 1, -1, -1)
     s = config.dt * float(out.quiescence_influx[:k] @ decay)
@@ -113,12 +120,13 @@ def _verify_fraction(model):
     t0 = 20.0
     for death, f in cases:
         config = simulator.SimConfig(rate=rate, mu=death, f=f, t_end=t0, dt=0.05)
-        fraction = simulator.quiescent_fraction(config, t0)
+        out = simulator.simulate(config)  # one run gives F and its prediction
+        fraction = simulator._labelled_fraction(out, config.dt, t0)
         err = abs(fraction - f)
         if death == 0.0:
             checks.append(Check(f"|F - f| < 1e-4 at f={f:g}, mu=0", err < 1e-4, err))
         else:
-            gap = abs(fraction - predicted_fraction(config, t0))
+            gap = abs(fraction - _predicted(out, config, t0))
             name = f"|F - F_pred| < 1e-12 at f={f:g}, mu={death:g}; shown: |F - f|"
             checks.append(Check(name, gap < 1e-12, err))
     return checks

@@ -19,13 +19,28 @@ pure transport conserves to rounding, N(t) is identical across f until the
 first division of a post-treatment cohort, and the labeling fraction below
 reproduces f exactly when nothing dies.
 
-`simulate` keeps the cells in one buffer of steps + n_cells floats, the same
-order as its returned series: age cell j at step n is buf[steps - n + j].
-A step moves the window down one slot instead of shifting the cells, so it
-reads the window once (one two-row product gives the division mass and P),
-multiplies it in place by the survival factors, and writes the newborn cell
-below it.  A top cell stays in the buffer once the window has passed it, so
-the escape check runs once, vectorised, after the loop.
+`simulate` runs no time loop: it solves the scheme's own discrete renewal
+equation.  With J cells, the survival L_j = prod_{i<j} keep_i and the kernel
+K_j = div_frac_j * L_j, the newborn mass b_k entered at step k holds L_j * b_k
+when it has aged into cell j, so the division mass d_n and P_n of step n are
+
+    d_n = sum_j K_j b_{n-j},   b_{n+1} = 2(1-f) exp(-mu*dt/2) d_n,   P_n = sum_j L_j b_{n-j};
+
+the start enters as virtual newborns b_{-k} = m0_k / L_k.  Cell j of a profile
+is L_j * b_{n-j}, the top cell at step n is L_{J-1} * b_{n-J+1} (its keep is
+never used: its content leaves the window), and Q keeps its recursion.  The
+equation is solved BLOCK steps at a time: inside a block exactly, by one
+product with (I - c*T0)^-1, formed by Neumann doubling; the history sums are
+BLAS products of Hankel panels of K and L against finished blocks of b (the
+windows of a superblock in one product, the rest of the superblock's own
+blocks one product each).  K, L, b and every matrix are nonnegative, so every
+sum is of nonnegative terms and each output is accurate relative to itself:
+births that are exactly 0 before the first division stay exactly 0.  An FFT
+convolution would be O(N log N) but its error is absolute, relative to the
+largest term, and turns those zeros into +-1e-20 noise.  Where L_k is too
+small to carry a start cell (a spike in the hazard, or steep death), the
+start from that cell on is solved on its own cells without births, anchored
+there, and its divisions feed the rest as a known source (`_renewal`).
 
 The labeled cohort of `imt_experiment` re-injects no daughters, so it needs no
 time loop: after k steps cell j holds m0[j-k] * exp(Lh_j - Lh_{j-k} - mu*dt*k),
@@ -36,8 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral
 from .errors import ConfigurationError, GridTooSmallError, ValidationError
@@ -47,6 +64,10 @@ from .spectral import AgeProfile
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
 MAX_STEPS = 10**7  # most time steps one simulate or imt_experiment run may take
 HAZARD_TOL = 1e-6  # imt_experiment: largest hazard at t0 that counts as no division yet
+BLOCK = 32  # steps the renewal solve takes in one exact block product
+SUPERBLOCK = 32  # blocks whose history windows one panel product takes
+SLAB = 4096  # age cells per panel slab: the scratch arrays stay near 5 MB at any grid size
+START_SPAN = 2.0**64  # largest b_{-k} = m0_k / L_k, relative to the largest start cell
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,12 @@ class SimConfig:
             raise ValidationError(f"mu must be nonnegative, got {self.mu}")
         if self.mu_q is not None and self.mu_q < 0:
             raise ValidationError(f"mu_q must be nonnegative, got {self.mu_q}")
+        if self.dt * self.quiescent_death_rate > 1.0:
+            # Q decays by the Euler factor 1 - dt*mu_q, which must stay nonnegative
+            raise ValidationError(
+                f"dt * mu_q = {self.dt * self.quiescent_death_rate:.6g} > 1; "
+                "the quiescent pool would turn negative: lower dt or mu_q"
+            )
         if not (self.initial is None or isinstance(self.initial, CustomProfile)):
             raise ValidationError(f"initial must be a CustomProfile or None, got {self.initial!r}")
 
@@ -127,7 +154,7 @@ class _CellGrid:
     def __init__(self, rate, mu: float, dt: float, a_max: float):
         spectral.check_cell_count(a_max, dt)
         n_cells = max(2, int(math.ceil(a_max / dt - 1e-9)))
-        self.dt = dt
+        self.dt, self.a_max = dt, a_max
         self.centers = (np.arange(n_cells) + 0.5) * dt
         self.beta = np.asarray(rate(self.centers), dtype=float)
         self.hazard = np.asarray(rate.hazard(self.centers), dtype=float)
@@ -142,13 +169,22 @@ class _CellGrid:
         self.div_frac = removed * div_share  # mass fraction dividing per step
 
 
+def _config_cells(config: SimConfig) -> _CellGrid:
+    """The cells a run of config uses: up to config.a_max, or the rate's own grid."""
+    a_max = config.a_max
+    if a_max is None:
+        a_max = float(spectral.build_grid(config.rate, step=config.dt)[-1])
+    return _CellGrid(config.rate, config.mu, config.dt, a_max)
+
+
 def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> np.ndarray:
     if t0 is not None and t0 < cells.dt / 2:  # no cell center <= t0: a unit cohort in cell 0
         m = np.zeros_like(cells.centers)
         m[0] = 1.0
         return m
-    # lambda needs the full divergence range even when the cell grid is short
-    lam = spectral.solve_lambda(rate, mu, step=cells.dt)
+    # lambda needs the full divergence range even when the cell grid is short; the
+    # renewal quadrature is accurate at the default step whatever the cells' dt
+    lam = spectral.solve_lambda(rate, mu)
     weights = np.exp(-(cells.hazard + (mu + lam) * cells.centers))
     if t0 is not None:
         weights = np.where(cells.centers <= t0, weights, 0.0)
@@ -156,6 +192,174 @@ def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> 
     if total <= 0:
         raise ValidationError("equilibrium profile has no mass on the grid")
     return weights / total
+
+
+def _kernel(keep: np.ndarray, div_frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Survival L_j = prod_{i<j} keep_i from the first cell, and the kernel K_j = div_frac_j * L_j.
+
+    `simulate` solves its renewal equation with this kernel, and `scheme_growth_rate`
+    finds its growth rate from it.
+    """
+    survival = np.cumprod(np.concatenate(([1.0], keep[:-1])))
+    return survival, div_frac * survival
+
+
+class _Run(NamedTuple):
+    """One renewal solve on the cells from `first` on (see `_renewal`)."""
+
+    first: int
+    survival: np.ndarray  # L_j from cell `first`
+    w: np.ndarray  # w[steps + 1 - n + j] = b_{n-j}, the newborn series reversed
+    divisions: np.ndarray  # d_n for n = 0..steps
+    p: np.ndarray  # P_n for n = 0..steps
+
+
+def _neumann(a: np.ndarray) -> np.ndarray:
+    """(I - a)^-1 of a nonnegative, strictly lower triangular a, from products alone.
+
+    a is nilpotent, so (I - a)^-1 = (I + a)(I + a^2)(I + a^4)... up to the first power
+    of two at or above its size.
+    """
+    inverse, power, span = np.eye(len(a)) + a, a, 2
+    while span < len(a):
+        power = power @ power
+        inverse += inverse @ power
+        span *= 2
+    return inverse
+
+
+def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np.ndarray):
+    """b, d and P of d_n = source_n + sum_j K_j b_{n-j}, b_{n+1} = c*d_n, P_n = sum_j L_j b_{n-j}.
+
+    start holds the virtual newborns b_{-k}.  Steps are taken BLOCK at a time: a block's
+    d and P are one product of [[(I - c*T0)^-1, 0], [c*TL (I - c*T0)^-1, I]] with its
+    history sums of K and L.  Those come from Hankel panels of K and L (2*BLOCK rows,
+    SLAB columns each), multiplied at the start of each superblock of SUPERBLOCK blocks
+    with the windows of all its blocks, its own newborns still 0, and then with those
+    newborns, one block at a time.
+    """
+    n_cells, base = start.size, steps + 1
+    # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
+    # past `steps`, the tail pads the last slab's windows
+    w = np.zeros(BLOCK + base + n_cells + SLAB)
+    w[BLOCK + base:BLOCK + base + n_cells] = start
+    windows = sliding_window_view(w, SLAB)
+    lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK) - 1  # T0[i, l] = K_{i-1-l}, l < i
+    inside = lag >= 0
+    lag = np.where(inside, lag, 0)
+    k_lag, l_lag = (np.append(v, np.zeros(BLOCK))[lag] for v in (kernel, survival))
+    solve = _neumann(np.where(inside, c * k_lag, 0.0))
+    step = np.block([[solve, np.zeros((BLOCK, BLOCK))],
+                     [np.where(inside, c * l_lag, 0.0) @ solve, np.eye(BLOCK)]])
+    slabs = [(lo, min(lo + SLAB, n_cells)) for lo in range(0, n_cells, SLAB)]
+    near = _panel(kernel, survival, *slabs[0])
+    blocks = -(-base // BLOCK)
+    forcing = np.zeros(blocks * BLOCK)
+    forcing[:base] = source
+    out = np.zeros((blocks, 2 * BLOCK))  # row g: d, then P, of block g
+    for top in range(0, base, BLOCK * SUPERBLOCK):
+        starts = np.arange(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK)
+        history = out[top // BLOCK:top // BLOCK + starts.size]
+        for lo, hi in slabs:
+            panel = near if lo == 0 else _panel(kernel, survival, lo, hi)
+            history += windows[BLOCK + base - starts + lo, :hi - lo] @ panel.T
+        for g, n0 in enumerate(starts.tolist()):
+            lo = BLOCK + base - n0
+            sums = history[g]
+            done = min(n0 - top, near.shape[1])  # the superblock's newborns so far
+            if done:
+                sums += near[:, :done] @ w[lo:lo + done]
+            sums[:BLOCK] += forcing[n0:n0 + BLOCK]
+            sums[:] = step @ sums
+            w[lo - BLOCK:lo] = c * sums[BLOCK - 1::-1]
+    return (w[BLOCK:BLOCK + base + n_cells], out[:, :BLOCK].ravel()[:base],
+            out[:, BLOCK:].ravel()[:base])
+
+
+def _panel(kernel, survival, lo: int, hi: int) -> np.ndarray:
+    """Hankel panels of K, then L: row i holds K_{i+t} (L_{i+t}) for t in [lo, hi), 0 past J."""
+    def rows(series):
+        padded = np.zeros(hi - lo + BLOCK - 1)
+        part = series[lo:hi + BLOCK - 1]
+        padded[:part.size] = part
+        return sliding_window_view(padded, hi - lo)[:BLOCK]
+    return np.concatenate([rows(kernel), rows(survival)])
+
+
+def _renewal(cells: _CellGrid, c: float, m0: np.ndarray, steps: int) -> list[_Run]:
+    """Renewal solves whose sum is the scheme run from the start masses m0.
+
+    The start enters as virtual newborns b_{-k} = m0_k / L_k.  Where that would exceed
+    START_SPAN times the largest start cell (L_k underflows past a spike in the hazard,
+    or under steep death), it stops: the start from that cell on is anchored there, with
+    L counted from it, and solved without births, and so on.  The first run, from cell
+    0, has the births; the divisions of the others are a known source in it.
+    """
+    n_cells = m0.size
+    scale = START_SPAN * m0.max()
+    anchors = []
+    first = 0
+    while first < n_cells:
+        survival, kernel = _kernel(cells.keep[first:], cells.div_frac[first:])
+        over = np.flatnonzero(m0[first:] > survival * scale)
+        end = n_cells if over.size == 0 else first + int(over[0])
+        start = np.zeros(n_cells - first)
+        np.divide(m0[first:end], survival[:end - first], out=start[:end - first],
+                  where=m0[first:end] > 0)
+        anchors.append((first, survival, kernel, start))
+        first = end
+    runs = []
+    source = np.zeros(steps + 1)
+    for first, survival, kernel, start in anchors[1:]:
+        # no births: the start has left these cells after n_cells - first steps
+        span = min(steps, n_cells - first - 1)
+        w, d, p = _solve(survival, kernel, 0.0, start, span, np.zeros(span + 1))
+        pad = np.zeros(steps - span)
+        runs.append(_Run(first, survival, np.concatenate((pad, w)), np.append(d, pad),
+                         np.append(p, pad)))
+        source += runs[-1].divisions
+    _, survival, kernel, start = anchors[0]
+    return [_Run(0, survival, *_solve(survival, kernel, c, start, steps, source))] + runs
+
+
+def _profile(runs: list[_Run], n: int, n_cells: int) -> np.ndarray:
+    """Age-cell masses at step n: cell j is L_j * b_{n-j} of every run that holds it."""
+    masses = np.zeros(n_cells)
+    for run in runs:
+        lo = run.divisions.size - n
+        masses[run.first:] += run.survival * run.w[lo:lo + run.survival.size]
+    return masses
+
+
+def _quiescent(influx: np.ndarray, loss: float) -> np.ndarray:
+    """Q_n of Q_{n+1} = (1 - loss)*Q_n + influx_n from Q_0 = 0, 0 <= loss <= 1, by blocks.
+
+    Within a block Q is one product with the powers of 1 - loss; each block then
+    carries its last Q into the next.  The powers come from log1p(-loss): 1 - loss
+    rounded to a double would be off by up to 1.1e-16, which 1e4 steps of decay
+    multiply into 1e-12.
+    """
+    count = influx.size
+    blocks = -(-count // BLOCK)
+    x = np.zeros(blocks * BLOCK)
+    x[:count] = influx
+    lag = np.arange(BLOCK + 1)[:, None] - np.arange(BLOCK) - 1
+    decay = np.where(lag >= 0, _powers(np.maximum(lag, 0), loss), 0.0)  # for l < i
+    inner = x.reshape(blocks, BLOCK) @ decay.T  # Q within each block, from Q = 0 at its start
+    powers = _powers(np.arange(BLOCK + 1), loss)
+    carry = np.empty(blocks)
+    q = 0.0
+    for k, end in enumerate(inner[:, BLOCK].tolist()):
+        carry[k] = q
+        q = powers[BLOCK] * q + end
+    return (inner[:, :BLOCK] + carry[:, None] * powers[:BLOCK]).ravel()[:count]
+
+
+def _powers(k: np.ndarray, loss: float) -> np.ndarray:
+    """(1 - loss)^k for integers k >= 0 and 0 <= loss <= 1."""
+    if loss < 1.0:
+        return np.exp(k * math.log1p(-loss))
+    return (k == 0).astype(float)
 
 
 def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
@@ -174,73 +378,75 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
         if not (math.isfinite(t) and 0.0 <= t <= config.t_end):
             raise ValidationError(f"snapshot time {t} is not within [0, t_end = {config.t_end}]")
     snap_steps = [int(round(t / dt)) for t in snap_times]
-    a_max = config.a_max
-    if a_max is None:
-        a_max = float(spectral.build_grid(config.rate, step=dt)[-1])
-    cells = _CellGrid(config.rate, config.mu, dt, a_max)
+    cells = _config_cells(config)
     init = config.initial
     if init is None:
-        m = _equilibrium_masses(config.rate, config.mu, cells, None)
+        m0 = _equilibrium_masses(config.rate, config.mu, cells, None)
     else:
         inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
-        m = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
-    q = 0.0
+        m0 = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
     f = config.f
     mu_q = config.quiescent_death_rate
-
     steps = int(round(config.t_end / dt))
-    n_cells = m.size
-    times = np.arange(steps + 1) * dt
-    series_p = np.empty(steps + 1)
-    series_q = np.empty(steps + 1)
-    divisions = np.empty(steps + 1)
-    # age cell j at step n is buf[steps - n + j] (module docstring)
-    buf = np.zeros(steps + n_cells)
-    buf[steps:] = m
-    weights = np.vstack([cells.div_frac, np.ones(n_cells)])  # rows: division mass, P
-    keep = np.append(cells.keep[:-1], 1.0)  # the top cell leaves the window as it is
+    n_cells = m0.size
     # daughters take half a step of death on arrival (module docstring)
     newborn = 2.0 * (1.0 - f) * math.exp(-config.mu * dt / 2.0)
     into_q = 2.0 * f * math.exp(-mu_q * dt / 2.0)
 
-    taken = dict.fromkeys(snap_steps)
-
-    for n in range(steps + 1):
-        lo = steps - n
-        m = buf[lo:lo + n_cells]
-        d, p = (weights @ m).tolist()
-        divisions[n] = d
-        series_p[n] = p
-        series_q[n] = q
-        if n in taken:
-            taken[n] = m / dt
-        if n == steps:
-            break
-        m *= keep  # survivors age by one cell as the window moves down
-        buf[lo - 1] = newborn * d  # newborn mass enters cell 0
-        q = q + into_q * d - dt * mu_q * q
-
+    runs = _renewal(cells, newborn, m0, steps)
+    divisions = runs[0].divisions
+    series_p = sum(run.p for run in runs)
+    series_q = _quiescent(into_q * divisions, dt * mu_q)
     total = series_p + series_q
-    # the top cell of step n < steps stays at buf[steps - n + n_cells - 1]
-    top = buf[n_cells - 1:][::-1][:steps]
+    # the top cell at step n is L_{J-1} * b_{n-J+1}
+    top = sum(run.survival[-1] * run.w[run.survival.size + 1:][::-1] for run in runs)
     escaped = np.flatnonzero(top > ESCAPE_TOL * np.maximum(total[:steps], 1e-300))
     if escaped.size:
         n = int(escaped[0])
         raise GridTooSmallError(
-            f"age profile reached a_max = {a_max:g} at t = {n * dt:g} "
+            f"age profile reached a_max = {cells.a_max:g} at t = {n * dt:g} "
             f"(top cell holds {top[n]:.3e}); increase a_max"
         )
 
+    profiles = {n: _profile(runs, n, n_cells) / dt for n in {*snap_steps, steps}}
     return SimOutput(
-        times=times,
+        times=np.arange(steps + 1) * dt,
         P=series_p,
         Q=series_q,
         N=total,
         births=newborn * divisions / dt,
         quiescence_influx=into_q * divisions / dt,
-        final_profile=AgeProfile(cells.centers, m / dt),
-        snapshots=[(t, taken[k]) for t, k in zip(snap_times, snap_steps)],
+        final_profile=AgeProfile(cells.centers, profiles[steps]),
+        snapshots=[(t, profiles[k]) for t, k in zip(snap_times, snap_steps)],
     )
+
+
+def scheme_growth_rate(config: SimConfig) -> float:
+    """lambda_d, the growth rate of the scheme's untreated newborn series, on config's cells.
+
+    The root of 2 exp(-mu*dt/2) sum_j K_j exp(-lambda_d*dt*(j+1)) = 1, with the kernel
+    K that `simulate` solves with, found by spectral.falsi_root.  Where the grid reaches
+    the rate's divergence range, lambda_d approaches solve_lambda's lambda as O(dt^2).
+    f and the start do not enter.
+    """
+    dt = config.dt
+    cells = _config_cells(config)
+    _, kernel = _kernel(cells.keep, cells.div_frac)
+    newborn = 2.0 * math.exp(-config.mu * dt / 2.0)
+    lags = dt * np.arange(1, kernel.size + 1)
+
+    def g(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = newborn * float(kernel @ np.exp(-lam * lags)) - 1.0
+        if not math.isfinite(value):
+            raise ConfigurationError(f"scheme renewal sum is {value} at lambda = {lam}")
+        return value
+
+    # g(-mu) >= 1 - 2*survival(a_max) > 0 once the rate has diverged on the cells
+    if g(-config.mu) <= 0.0:
+        raise ConfigurationError("the scheme's renewal sum is below 1 at lambda = -mu; "
+                                 "the cells do not reach the rate's divergence range")
+    return spectral.falsi_root(g, -config.mu)
 
 
 def quiescent_fraction(config: SimConfig, t0: float) -> float:
@@ -253,9 +459,13 @@ def quiescent_fraction(config: SimConfig, t0: float) -> float:
         raise ValidationError(f"t0 must be finite and nonnegative, got {t0}")
     if t0 > config.t_end + 1e-12:
         raise ValidationError(f"simulation horizon {config.t_end} is shorter than t0 = {t0}")
-    out = simulate(config)
-    k = int(round(t0 / config.dt))
-    flux_into_p = config.dt * float(out.births[:k].sum())
+    return _labelled_fraction(simulate(config), config.dt, t0)
+
+
+def _labelled_fraction(out: SimOutput, dt: float, t0: float) -> float:
+    """quiescent_fraction from a finished run of step dt that reaches t0."""
+    k = int(round(t0 / dt))
+    flux_into_p = dt * float(out.births[:k].sum())
     denom = out.Q[k] + flux_into_p
     if denom <= 0:
         raise ValidationError("no division flux accumulated by t0; cannot form the fraction")

@@ -183,7 +183,16 @@ def _root(table: _RenewalTable, mu: float) -> float:
             raise ConfigurationError(f"renewal function is {value} at lambda = {lam}")
         return value
 
-    lo = -mu  # g(-mu) = 1 - 2*survival > 0 by the divergence check
+    return falsi_root(g, -mu)  # g(-mu) = 1 - 2*survival > 0 by the divergence check
+
+
+def falsi_root(g, lo: float) -> float:
+    """Root of a decreasing g with g(lo) > 0, bracketed by doubling up to LAMBDA_MAX.
+
+    Regula falsi with Anderson-Bjorck weighting (BIT 13, 1973) on [a, b] = [lo, hi], b the
+    newest point: when a new point lands on b's side, g_a is scaled down so that end moves
+    too.  It stops once |b - a| <= 1e-14 + 8.9e-16*|b|, brentq's rule at xtol = 1e-14.
+    """
     hi = max(0.5, lo + 0.5)
     while (g_hi := g(hi)) > 0.0:
         hi = 2.0 * hi + 1.0
@@ -191,9 +200,6 @@ def _root(table: _RenewalTable, mu: float) -> float:
             raise ConfigurationError(
                 f"no sign change up to lambda = {LAMBDA_MAX}; rate not divergent on grid"
             )
-    # Regula falsi with Anderson-Bjorck weighting (BIT 13, 1973) on [a, b] = [lo, hi], b the
-    # newest point: when a new point lands on b's side, g_a is scaled down so that end moves
-    # too.  It stops once |b - a| <= 1e-14 + 8.9e-16*|b|, brentq's rule at xtol = 1e-14.
     a, g_a, b, g_b = lo, g(lo), hi, g_hi
     for _ in range(MAX_ROOT_STEPS):
         lam = b - g_b * (b - a) / (g_b - g_a)

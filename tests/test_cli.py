@@ -185,6 +185,13 @@ def test_simulate_rejects_bad_fraction(tmp_path, model_json, capsys):
     assert "f must be in [0, 1]" in capsys.readouterr().err
 
 
+def test_simulate_rejects_quiescent_loss_above_one_per_step(tmp_path, model_json, capsys):
+    code = main(["simulate", str(model_json), "--f", "0.6", "--t-end", "10", "--mu-q", "100",
+                 "--out-prefix", str(tmp_path / "x")])
+    assert code == 2
+    assert "dt * mu_q = 5 > 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "numbers",
     [["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "10", "--dt", "nan"],

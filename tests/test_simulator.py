@@ -331,8 +331,14 @@ DEATH = st.floats(min_value=0.0, max_value=1.0)
 def test_simulate_matches_the_shift_loop(family, f, mu, mu_q, dt, start, snaps):
     config = SimConfig(rate=CLOSED_FORM_RATES[family], mu=mu, f=f, t_end=15.0, dt=dt,
                        mu_q=mu_q, initial=start)
+    assert_matches_the_shift_loop(config, snaps)
+
+
+def assert_matches_the_shift_loop(config, snaps):
     p, q, births, influx, snapshots, final = shifted_run(config, snaps)
-    out = simulate(config, snapshot_times=snaps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = simulate(config, snapshot_times=snaps)
     # atol: a subnormal f gives subnormal Q values, which carry no relative precision
     close = dict(rtol=1e-13, atol=1e-300)
     for got, want in ((out.P, p), (out.Q, q), (out.N, p + q), (out.births, births),
@@ -341,6 +347,74 @@ def test_simulate_matches_the_shift_loop(family, f, mu, mu_q, dt, start, snaps):
     assert [t for t, _ in out.snapshots] == snaps
     for (_, got), want in zip(out.snapshots, snapshots):
         np.testing.assert_allclose(got, want, **close)
+    return out
+
+
+# a triangular spike of rate 200/h on [20, 30] h: survival from birth falls to
+# exp(-1000), 0.0 in double, so L_k cannot carry start mass past it
+SPIKE = TabulatedRate([0.0, 20.0, 25.0, 30.0, 300.0], [0.0, 0.0, 200.0, 0.0, 0.0])
+REFERENCE = CLOSED_FORM_RATES["erfc-mu"]
+GOLDEN = {
+    # 180 cells and 1200 steps: newborns cross the whole grid many times
+    "more-steps-than-cells": SimConfig(
+        rate=ClosedFormRate(Model(family="gamma1", m=1.0, sigma=0.25)), mu=0.01, f=0.3,
+        t_end=60.0, dt=0.05),
+    "steps-not-a-block-multiple": SimConfig(rate=REFERENCE, mu=0.00333, f=0.6, t_end=50.35),
+    "shorter-than-one-block": SimConfig(rate=REFERENCE, mu=0.00333, f=0.6, t_end=1.0),
+    "everyone-quiescent": SimConfig(rate=REFERENCE, mu=0.00333, f=1.0, t_end=60.0),
+    "dt-mu_q-one": SimConfig(rate=REFERENCE, mu=0.00333, f=0.84, t_end=60.0, mu_q=20.0),
+    # 20 000 steps of quiescent decay: 1 - dt*mu_q rounded to a double would move Q by 1e-12
+    "long-quiescent": SimConfig(rate=REFERENCE, mu=0.00333, f=0.84, t_end=1000.0),
+    "start-past-a-spike": SimConfig(
+        rate=SPIKE, mu=0.0, f=0.0, t_end=50.0, a_max=100.0,
+        initial=CustomProfile(np.array([35.0, 40.0]), np.array([0.1, 0.1]))),
+    "start-across-a-spike": SimConfig(
+        rate=SPIKE, mu=0.01, f=0.3, t_end=50.0, a_max=100.0,
+        initial=CustomProfile(np.array([10.0, 40.0]), np.array([0.1, 0.1]))),
+}
+
+
+@pytest.mark.parametrize("config", GOLDEN.values(), ids=GOLDEN)
+def test_golden_runs_match_the_shift_loop(config):
+    out = assert_matches_the_shift_loop(config, [0.0, config.t_end / 3, config.t_end])
+    assert np.isfinite(out.N).all()
+
+
+def test_births_are_zero_at_the_shift_loops_steps():
+    # every term of the renewal sums is nonnegative, so no newborn mass appears as
+    # rounding noise before the start's oldest cells reach the spike at t ~ 10 h
+    config = SimConfig(rate=SPIKE, mu=0.01, f=0.3, t_end=40.0, a_max=100.0,
+                       initial=CustomProfile(np.array([0.0, 10.0]), np.array([0.1, 0.1])))
+    _, _, births, _, _, _ = shifted_run(config)
+    out = simulate(config)
+    np.testing.assert_array_equal(out.births == 0.0, births == 0.0)
+    assert out.births[:190].max() == 0.0 and out.births[-1] > 0.0
+
+
+def test_escape_fed_by_newborns_after_the_start_has_left():
+    # the start on [0, 0.5] h has left a_max = 10 h by t = 10 h.  Its own crossing
+    # bounds any newborn cohort's top-cell share of N (a cohort's descendants are part
+    # of N), so only the threshold's floor lets newborns escape first: N is below
+    # 1e-300 while the start crosses, above it when the newborns do
+    start = CustomProfile(np.array([0.0, 0.5]), np.array([1e-306, 1e-306]))
+    config = SimConfig(rate=ClosedFormRate(Model(family="gamma1", m=3.0, sigma=1.0)), mu=0.0,
+                       f=0.0, t_end=60.0, dt=0.05, a_max=10.0, initial=start)
+    with pytest.raises(GridTooSmallError) as expected:
+        shifted_run(config)
+    with pytest.raises(GridTooSmallError) as raised:
+        simulate(config)
+    assert str(raised.value) == str(expected.value)
+    assert "at t = 32.55 " in str(raised.value)
+
+
+@pytest.mark.parametrize("mu, mu_q", [(0.0, 40.5), (45.0, None)])
+def test_quiescent_loss_above_one_per_step_rejected(mu, mu_q):
+    # dt*mu_q > 1 would make the Euler factor 1 - dt*mu_q negative, and Q with it;
+    # mu_q defaults to mu
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    with pytest.raises(ValidationError, match=r"dt \* mu_q = 2\.\d+ > 1"):
+        SimConfig(rate=rate, mu=mu, f=0.5, t_end=10.0, dt=0.05, mu_q=mu_q)
+    SimConfig(rate=rate, mu=mu, f=0.5, t_end=10.0, dt=0.02, mu_q=mu_q)  # 0.81, 0.9: allowed
 
 
 @given(a_max=st.floats(min_value=4.0, max_value=14.0),

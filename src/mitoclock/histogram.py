@@ -15,8 +15,6 @@ import numpy as np
 from .errors import DegenerateInputError, StateError, ValidationError
 from .io import read_columns
 
-NORMALIZATION_TOL = 1e-9
-
 
 class Kind(enum.Enum):
     RAW_COUNTS = "raw_counts"

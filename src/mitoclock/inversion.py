@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TruncationWarning, ValidationError
 from .fitter import _least_squares
-from .imt_models import Model, TabulatedRate, _erfc, erfc
+from .imt_models import Model, TabulatedRate, _erfc
 from .io import check_table, r_squared, read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
@@ -114,7 +114,7 @@ def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> 
     """Compare a tabulated rate against beta0*erfc((m - a)/sigma) on its grid."""
     if not (np.isfinite([beta0, m, sigma]).all() and sigma > 0):
         raise ValidationError(f"need finite beta0, m and sigma > 0; got {beta0}, {m}, {sigma}")
-    candidate = beta0 * erfc((m - rate.ages) / sigma)
+    candidate, _ = _erfc(rate.ages, beta0, m, sigma)
     resid = rate.values - candidate
     return ErfcComparison(r_squared(rate.values, resid), float(np.abs(resid).max()))
 

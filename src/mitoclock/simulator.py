@@ -149,32 +149,27 @@ class SimOutput:
 
 
 class _CellGrid:
-    """Lockstep age cells with the per-step removal factors."""
+    """Cells of spectral.build_grid(rate, dt, a_max) with per-step factors from one hazard call.
 
-    def __init__(self, rate, mu: float, dt: float, a_max: float):
-        spectral.check_cell_count(a_max, dt)
-        n_cells = max(2, int(math.ceil(a_max / dt - 1e-9)))
-        self.dt, self.a_max = dt, a_max
-        self.centers = (np.arange(n_cells) + 0.5) * dt
-        self.beta = np.asarray(rate(self.centers), dtype=float)
-        self.hazard = np.asarray(rate.hazard(self.centers), dtype=float)
+    a_max keeps the value asked for, or the grid top J*dt, for the GridTooSmallError message.
+    """
+
+    def __init__(self, rate, mu: float, dt: float, a_max: float | None = None):
+        grid = spectral.build_grid(rate, dt, a_max)
+        self.dt, self.top = dt, float(grid[-1])
+        self.a_max = self.top if a_max is None else a_max
+        self.centers = (np.arange(grid.size - 1) + 0.5) * dt
+        ends = np.concatenate((self.centers, self.centers + dt))
+        self.hazard, above = np.split(np.asarray(rate.hazard(ends), dtype=float), 2)
         # hazard picked up while a cell's content ages by one step
-        self.dh = dh = np.asarray(rate.hazard(self.centers + dt), dtype=float) - self.hazard
-        if not (np.isfinite(self.beta).all() and np.isfinite(dh).all()):
-            raise ConfigurationError("division rate or hazard is not finite on the age cells")
+        self.dh = dh = above - self.hazard
+        if not np.isfinite(dh).all():
+            raise ConfigurationError("hazard is not finite on the age cells")
         x = dh + mu * dt
         self.keep = np.exp(-x)
         removed = -np.expm1(-x)
         div_share = np.where(x > 0, dh / np.where(x > 0, x, 1.0), 0.0)
         self.div_frac = removed * div_share  # mass fraction dividing per step
-
-
-def _config_cells(config: SimConfig) -> _CellGrid:
-    """The cells a run of config uses: up to config.a_max, or the rate's own grid."""
-    a_max = config.a_max
-    if a_max is None:
-        a_max = float(spectral.build_grid(config.rate, step=config.dt)[-1])
-    return _CellGrid(config.rate, config.mu, config.dt, a_max)
 
 
 def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> np.ndarray:
@@ -192,6 +187,38 @@ def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> 
     if total <= 0:
         raise ValidationError("equilibrium profile has no mass on the grid")
     return weights / total
+
+
+def _start_masses(init: CustomProfile, cells: _CellGrid) -> np.ndarray:
+    """Cell masses of a custom start: its density at each cell centre times dt.
+
+    Raises ValidationError if the profile is positive at any age outside the cells,
+    [0, J*dt], or if it is positive somewhere but at no cell centre.  The latter reads
+    where the profile is positive, not the sampled masses, which a subnormal density
+    may round to 0.
+    """
+    ages, values = init.ages, init.values
+    live = np.maximum(values[:-1], values[1:]) > 0  # table segments where the profile is > 0
+    lo, hi = ages[:-1][live], ages[1:][live]
+    outside = []
+    if lo.size and lo[0] < 0:
+        outside.append(f"down to age {lo[0]:g}")
+    if hi.size and hi[-1] > cells.top:
+        outside.append(f"up to age {hi[-1]:g}")
+    if outside:
+        raise ValidationError(
+            f"initial profile is positive {' and '.join(outside)}, outside the age cells "
+            f"[0, {cells.top:g}]; increase a_max or trim the profile"
+        )
+    inside = (cells.centers >= ages[0]) & (cells.centers <= ages[-1])
+    m0 = np.where(inside, np.interp(cells.centers, ages, values), 0.0) * cells.dt
+    positive = np.interp(cells.centers, ages, 1.0 * (values > 0)) > 0
+    if live.any() and not (inside & positive).any():
+        raise ValidationError(
+            f"initial profile on [{ages[0]:g}, {ages[-1]:g}] is positive at no age cell "
+            f"centre (cells of width dt = {cells.dt:g}); lower dt or widen the profile"
+        )
+    return m0
 
 
 def _kernel(keep: np.ndarray, div_frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,13 +405,11 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
         if not (math.isfinite(t) and 0.0 <= t <= config.t_end):
             raise ValidationError(f"snapshot time {t} is not within [0, t_end = {config.t_end}]")
     snap_steps = [int(round(t / dt)) for t in snap_times]
-    cells = _config_cells(config)
-    init = config.initial
-    if init is None:
+    cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
+    if config.initial is None:
         m0 = _equilibrium_masses(config.rate, config.mu, cells, None)
     else:
-        inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
-        m0 = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
+        m0 = _start_masses(config.initial, cells)
     f = config.f
     mu_q = config.quiescent_death_rate
     steps = int(round(config.t_end / dt))
@@ -430,7 +455,7 @@ def scheme_growth_rate(config: SimConfig) -> float:
     f and the start do not enter.
     """
     dt = config.dt
-    cells = _config_cells(config)
+    cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
     _, kernel = _kernel(cells.keep, cells.div_frac)
     newborn = 2.0 * math.exp(-config.mu * dt / 2.0)
     lags = dt * np.arange(1, kernel.size + 1)
@@ -503,6 +528,9 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     if steps == 0:
         raise ValidationError(f"observation window {big_t} is shorter than one step dt = {dt}")
     cells = _CellGrid(rate, mu, dt, big_t + t0 + 2.0 * dt)
+    beta = np.asarray(rate(cells.centers), dtype=float)
+    if not np.isfinite(beta).all():
+        raise ConfigurationError("division rate is not finite on the age cells")
     m0 = _equilibrium_masses(rate, mu, cells, t0)
 
     lh = -np.concatenate(([0.0], np.cumsum(cells.dh[:-1])))
@@ -510,7 +538,7 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     # own, as folding mu*dt into lh would overflow exp(-lh) once mu*t0 exceeds ~709
     support = np.flatnonzero(m0)[-1] + 1
     held = np.convolve(m0[:support] * np.exp(-lh[:support]), np.exp(-mu * dt * np.arange(steps)))
-    acc = dt * cells.beta * np.exp(lh) * np.pad(held, (0, m0.size - held.size))
+    acc = dt * beta * np.exp(lh) * np.pad(held, (0, m0.size - held.size))
 
     c_t = float(acc.sum())
     if c_t <= 0:
@@ -519,7 +547,7 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
 
     # peaks at exp(0) where beta > 0 (c_t > 0: some cell), so steep death cannot underflow it
     exponent = -cells.hazard - mu * cells.centers
-    ideal = cells.beta * np.exp(np.minimum(exponent - exponent[cells.beta > 0].max(), 0.0))
+    ideal = beta * np.exp(np.minimum(exponent - exponent[beta > 0].max(), 0.0))
     ideal /= ideal.sum() * dt
     l1_gap = float(np.abs(i_t - ideal).sum() * dt)
     return AgeProfile(cells.centers, i_t), l1_gap

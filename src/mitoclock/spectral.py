@@ -112,8 +112,10 @@ def _cell_sources(table: _RenewalTable, s: np.ndarray, k: float) -> np.ndarray:
 
 
 def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> np.ndarray:
-    """Uniform age grid covering the rate's divergence range.
+    """Uniform age grid covering the rate's divergence range, or up to a given a_max.
 
+    It has max(2, ceil(a_max/step - 1e-9)) cells of width step; the simulator's
+    age cells are this grid too, so this is the one place that rule lives.
     Without an explicit a_max, the upper end starts at m + 12*sigma (closed
     forms) or the table end and is extended until division survival drops
     below SURVIVAL_TOL, by at most 400 steps of 4*sigma plus twice the plateau

@@ -22,7 +22,13 @@ from mitoclock import (
     solve_lambda,
 )
 from mitoclock.checks import predicted_fraction
-from mitoclock.simulator import ESCAPE_TOL, MAX_STEPS, _CellGrid, _equilibrium_masses
+from mitoclock.simulator import (
+    ESCAPE_TOL,
+    MAX_STEPS,
+    _CellGrid,
+    _equilibrium_masses,
+    scheme_growth_rate,
+)
 from mitoclock.spectral import MAX_CELLS, build_grid
 
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -573,6 +579,91 @@ def test_non_finite_rate_on_the_cells_rejected():
         imt_experiment(_NanRate(FIT_ERFC), 0.0, 5.0, 80.0)
 
 
+class _CountingRate(ClosedFormRate):
+    """A closed-form rate that records the shape of every age argument it is given."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.rate_shapes, self.hazard_shapes = [], []
+
+    def __call__(self, a):
+        self.rate_shapes.append(np.shape(a))
+        return super().__call__(a)
+
+    def hazard(self, a):
+        self.hazard_shapes.append(np.shape(a))
+        return super().hazard(a)
+
+
+CELL_RUNS = {
+    "simulate": simulate,
+    "quiescent_fraction": lambda config: quiescent_fraction(config, 10.0),
+    "scheme_growth_rate": scheme_growth_rate,
+}
+
+
+@pytest.mark.parametrize("a_max", [None, 90.0])
+@pytest.mark.parametrize("run", CELL_RUNS.values(), ids=CELL_RUNS)
+def test_cell_setup_reads_the_hazard_once_and_the_rate_never(run, a_max):
+    n_cells = build_grid(ClosedFormRate(FIT_ERFC_MU), 0.05, a_max).size - 1
+    rate = _CountingRate(FIT_ERFC_MU)
+    run(SimConfig(rate=rate, mu=FIT_ERFC_MU.mu, f=0.6, t_end=20.0, dt=0.05, a_max=a_max))
+    # the grid's own extension may read the rate at one age; no cell array reaches it
+    assert all(shape == () for shape in rate.rate_shapes)
+    assert rate.hazard_shapes.count((2 * n_cells,)) == 1
+    assert (n_cells,) not in rate.hazard_shapes
+
+
+def test_off_lattice_a_max_takes_the_grid_cells_and_keeps_its_value():
+    config = SimConfig(rate=zero_rate(), mu=0.0, f=0.0, t_end=50.0, dt=0.05, a_max=10.03,
+                       initial=bump_profile())
+    cells = _CellGrid(config.rate, config.mu, config.dt, config.a_max)
+    assert cells.centers.size == build_grid(config.rate, 0.05, 10.03).size - 1 == 201
+    with pytest.raises(GridTooSmallError, match=r"reached a_max = 10\.03 at t = "):
+        simulate(config)
+
+
+# --- custom starts the cells cannot hold ----------------------------------
+
+GAMMA2 = Model(family="gamma2", m=17.0, sigma=2.0)
+UNHELD_STARTS = {
+    # 0.1/h on [0, 10] and on [40, 50]: a_max 30 kept only the first part, N(0) = 1.025
+    "past-the-top": (30.0, [0.0, 10.0, 10.5, 39.5, 40.0, 50.0], [0.1, 0.1, 0.0, 0.0, 0.1, 0.1],
+                     r"up to age 50, outside the age cells \[0, 30\]"),
+    # 0.1/h on [-5, 5]: only the half at positive ages was kept, N(0) = 0.5
+    "negative-ages": (215.0, [-5.0, 5.0], [0.1, 0.1], r"down to age -5, outside"),
+    # 1.0/h on [10.01, 10.02] lies between two cell centres: N was 0 throughout
+    "between-centres": (215.0, [10.01, 10.02], [1.0, 1.0], r"positive at no age cell centre"),
+}
+
+
+@pytest.mark.parametrize("a_max, ages, values, message", UNHELD_STARTS.values(),
+                         ids=UNHELD_STARTS)
+def test_start_the_cells_cannot_hold_is_rejected(a_max, ages, values, message):
+    start = CustomProfile(np.array(ages), np.array(values))
+    config = SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=10.0, dt=0.05,
+                       a_max=a_max, initial=start)
+    with pytest.raises(ValidationError, match=message):
+        simulate(config)
+
+
+def test_start_held_by_the_cells_is_kept_whole():
+    # the two-part start that a_max 30 cannot hold fits a_max 215
+    _, ages, values, _ = UNHELD_STARTS["past-the-top"]
+    config = SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=1.0, dt=0.05,
+                       a_max=215.0, initial=CustomProfile(np.array(ages), np.array(values)))
+    assert simulate(config).N[0] == pytest.approx(2.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("height", [0.0, 5e-324])
+def test_zero_and_subnormal_starts_stay_allowed(height):
+    # a subnormal density rounds to 0 at the cell centres, but it is positive there
+    start = custom_start(1.0, [height])
+    out = simulate(SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=10.0, dt=0.025,
+                             initial=start))
+    assert not out.N.any()
+
+
 # --- labeled-cohort observation window ------------------------------------
 
 
@@ -635,13 +726,14 @@ def test_imt_experiment_density_normalized():
 def stepped_cohort(rate, mu, t0, big_t, dt):
     """(I_T, gap) of imt_experiment by stepping the labeled cohort big_t / dt times."""
     cells = _CellGrid(rate, mu, dt, big_t + t0 + 2.0 * dt)
+    beta = rate(cells.centers)
     m = _equilibrium_masses(rate, mu, cells, t0)
     acc = np.zeros_like(m)
     for _ in range(int(round(big_t / dt))):
-        acc += cells.beta * m * dt
+        acc += beta * m * dt
         m = np.concatenate(([0.0], (m * cells.keep)[:-1]))
     i_t = acc / (acc.sum() * dt)
-    ideal = cells.beta * np.exp(-cells.hazard - mu * cells.centers)
+    ideal = beta * np.exp(-cells.hazard - mu * cells.centers)
     ideal /= ideal.sum() * dt
     return i_t, float(np.abs(i_t - ideal).sum() * dt)
 

@@ -43,6 +43,8 @@ run invert imt_density.csv --out-prefix inv
 run simulate fit_erfc-mu_model.json --f 0 0.6 0.84 --t-end 90 --out-prefix sweep
 # 20 000 steps: more steps than age cells, through the blocked renewal solve
 run simulate model.json --f 0 0.84 --t-end 1000 --out-prefix long
+# a quiescent death rate of its own
+run simulate model.json --f 0.6 --t-end 90 --mu-q 0.02 --out-prefix muq
 # dt * mu_q = 5 > 1 is a usage error (exit 2), not a negative quiescent pool
 status=0
 run simulate model.json --f 0.6 --t-end 10 --mu-q 100 --out-prefix bad || status=$?

@@ -55,9 +55,7 @@ def _verify_eigen(model):
 def _verify_gre(model):
     rate, mu = ClosedFormRate(model), model.death_rate
     pair = spectral.equilibrium(rate, mu, step=0.05)
-    config = simulator.SimConfig(
-        rate=rate, mu=mu, f=0.0, t_end=100.0, dt=0.05, a_max=float(pair.grid[-1])
-    )
+    config = simulator.SimConfig(rate=rate, mu=mu, f=0.0, t_end=100.0, dt=0.05)
     times = [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
     out = simulator.simulate(config, snapshot_times=times)
     centers = out.final_profile.ages

@@ -75,6 +75,8 @@ def erfc(z):
 
 def erfc_integral(m: float, sigma: float, a):
     """Integral of erfc((m - a')/sigma) for a' from 0 to a, in closed form."""
+    if not (math.isfinite(m) and math.isfinite(sigma) and sigma > 0):
+        raise ValidationError(f"need finite m and sigma > 0; got {m}, {sigma}")
     z = (m - np.asarray(a, dtype=float)) / sigma
     return _erfc_integral(m, sigma, z, erfc(z))
 

@@ -108,6 +108,8 @@ class SimConfig:
         if self.t_end / self.dt > MAX_STEPS:
             raise ValidationError(f"t_end / dt = {self.t_end / self.dt:.3g} steps > {MAX_STEPS}")
         if self.a_max is not None:
+            if self.a_max <= 0:
+                raise ValidationError(f"a_max must be positive, got {self.a_max}")
             spectral.check_cell_count(self.a_max, self.dt)
         if self.mu < 0:
             raise ValidationError(f"mu must be nonnegative, got {self.mu}")
@@ -515,6 +517,7 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     """
     if not (all(math.isfinite(v) for v in (t0, big_t, dt)) and dt > 0):
         raise ValidationError(f"t0, big_t and dt must be finite, dt > 0; got {t0}, {big_t}, {dt}")
+    spectral.check_death_rate(mu)
     if big_t <= t0:
         raise ValidationError(f"observation window {big_t} must exceed t0 = {t0}")
     if big_t / dt > MAX_STEPS:

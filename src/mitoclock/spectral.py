@@ -169,10 +169,15 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
     return _root(_renewal_table(rate, grid), mu)
 
 
-def _root(table: _RenewalTable, mu: float) -> float:
-    """solve_lambda on a table that equilibrium reuses for its adjoint sources."""
+def check_death_rate(mu: float) -> None:
+    """Raise ValidationError unless the death rate mu is finite and nonnegative."""
     if not (math.isfinite(mu) and mu >= 0):
         raise ValidationError(f"death rate must be finite and nonnegative, got {mu}")
+
+
+def _root(table: _RenewalTable, mu: float) -> float:
+    """solve_lambda on a table that equilibrium reuses for its adjoint sources."""
+    check_death_rate(mu)
     if math.exp(-table.hazard_top) >= SURVIVAL_TOL:
         raise ConfigurationError(
             f"division survival at the grid end ({math.exp(-table.hazard_top):.2e}) "
@@ -221,6 +226,9 @@ def falsi_root(g, lo: float) -> float:
 
 def renewal_residual(rate, mu: float, lam: float, grid: np.ndarray) -> float:
     """g(lam) for a given growth rate; zero at the solved eigenvalue."""
+    check_death_rate(mu)
+    if not math.isfinite(lam):
+        raise ValidationError(f"growth rate must be finite, got {lam}")
     return _renewal_value(_renewal_table(rate, grid), mu + lam) - 1.0
 
 
@@ -277,4 +285,10 @@ def gre_functional(profile: AgeProfile, adjoint: AgeProfile, lam: float, t: floa
         raise ValidationError("each table needs matching ages and values")
     if ages.shape != phi_ages.shape or not np.allclose(ages, phi_ages, rtol=0, atol=1e-9):
         raise ValidationError("profile and adjoint must share the same age grid")
-    return float(math.exp(-lam * t) * np.trapezoid(values * phi_values, ages))
+    if not (math.isfinite(lam) and math.isfinite(t)):
+        raise ValidationError(f"lam and t must be finite, got {lam}, {t}")
+    try:
+        decay = math.exp(-lam * t)
+    except OverflowError:
+        raise ValidationError(f"exp(-lam*t) overflows at lam = {lam}, t = {t}") from None
+    return float(decay * np.trapezoid(values * phi_values, ages))

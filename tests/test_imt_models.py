@@ -85,6 +85,12 @@ def test_erfc_integral_vanishes_at_zero():
     assert erfc_integral(0.0, 1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("m, sigma", [(24.0, 0.0), (24.0, -1.0), (float("nan"), 3.0)])
+def test_erfc_integral_rejects_bad_parameters(m, sigma):
+    with pytest.raises(ValidationError):
+        erfc_integral(m, sigma, [2.0, 20.0])
+
+
 def test_erfc_integral_against_quadrature():
     m, sigma = 0.0, 1.0
     expected = simpson_quad(lambda x: float(erfc((m - x) / sigma)), 0.0, 5.0)

@@ -98,6 +98,18 @@ def test_config_rejects_non_finite_numbers(name, value):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("a_max", [-5.0, 0.0])
+def test_config_rejects_a_non_positive_a_max(a_max):
+    with pytest.raises(ValidationError, match="a_max must be positive"):
+        SimConfig(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.5, t_end=10.0, a_max=a_max)
+
+
+def test_positive_a_max_below_two_cells_is_a_grid_too_small_error():
+    config = SimConfig(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.5, t_end=10.0, a_max=0.01)
+    with pytest.raises(GridTooSmallError):
+        simulate(config)
+
+
 class UntouchableRate:
     """A rate that fails the test if anything evaluates it."""
 
@@ -685,6 +697,13 @@ def test_imt_experiment_requires_quiet_start():
 def test_imt_experiment_rejects_non_finite_times(t0, big_t, dt):
     with pytest.raises(ValidationError):
         imt_experiment(ClosedFormRate(FIT_ERFC), 0.0, t0, big_t, dt)
+
+
+@pytest.mark.parametrize("t0", [0.0, 5.0])  # 0: the point cohort, which solves no lambda
+@pytest.mark.parametrize("mu", [NAN, -0.5, INF])
+def test_imt_experiment_rejects_bad_death_rates(mu, t0):
+    with pytest.raises(ValidationError, match="death rate"):
+        imt_experiment(ClosedFormRate(FIT_ERFC), mu, t0, 60.0)
 
 
 def test_imt_experiment_point_cohort_matches_survival_weighted_rate():

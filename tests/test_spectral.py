@@ -81,6 +81,15 @@ def test_renewal_residual_vanishes_at_solution():
     assert abs(renewal_residual(rate, 0.00333, lam, grid)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "mu, lam", [(0.00333, float("nan")), (0.00333, float("inf")), (float("nan"), 0.02), (-0.5, 0.02)]
+)
+def test_renewal_residual_rejects_bad_rates(mu, lam):
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    with pytest.raises(ValidationError):
+        renewal_residual(rate, mu, lam, build_grid(rate, step=0.05))
+
+
 def test_renewal_value_is_decreasing_in_lambda():
     rate = ClosedFormRate(FIT_ERFC_MU)
     grid = build_grid(rate, step=0.05)
@@ -240,6 +249,14 @@ def test_gre_functional_grid_mismatch():
     other = AgeProfile(pair.grid + 0.5, pair.phi)
     with pytest.raises(ValidationError):
         gre_functional(pair.profile(), other, pair.lam, 0.0)
+
+
+# NaN lam, an infinite horizon, and exp(-lam*t) past the float range
+@pytest.mark.parametrize("lam, t", [(float("nan"), 0.0), (0.02, float("inf")), (-1e4, 1.0)])
+def test_gre_functional_rejects_bad_lam_and_t(lam, t):
+    pair = equilibrium(ClosedFormRate(FIT_ERFC_MU), 0.00333)
+    with pytest.raises(ValidationError):
+        gre_functional(pair.profile(), pair.adjoint(), lam, t)
 
 
 def test_eigenpair_csv_export(tmp_path):

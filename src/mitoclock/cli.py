@@ -25,21 +25,17 @@ from .errors import MitoclockError, ValidationError
 from .fitter import fit_imt, mass_check
 from .growth import GrowthSeries, fit_growth, load_growth_csv
 from .histogram import load_histogram, normalize, reweight
-from .imt_models import FAMILIES, ClosedFormRate, Model, model_from_dict, reweighted_density
+from .imt_models import FAMILIES, ClosedFormRate, Model, model_from_json, reweighted_density
 from .inversion import best_erfc_fit, invert_imt, write_rate_csv
 from .io import read_columns, write_columns
 
 
 def _read_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValidationError(f"{path} is not a JSON file: {exc}") from None
-    # accept both a bare model object and a full fit-result file
-    if isinstance(payload, dict):
-        payload = payload.get("model", payload)
-    return model_from_dict(payload)
+    """The model in a model or fit-result JSON file, with the path in any ValidationError."""
+    try:
+        return model_from_json(Path(path).read_bytes())
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _prefix(args, default_source) -> Path:

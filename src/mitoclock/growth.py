@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .io import r_squared, read_columns
+from .io import check_table, r_squared, read_columns
 
 
 @dataclass(frozen=True)
@@ -19,18 +19,9 @@ class GrowthSeries:
     counts: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
+        times, counts = check_table(self.times, self.counts, 3, "growth series")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "counts", counts)
-        if times.ndim != 1 or times.shape != counts.shape:
-            raise ValidationError("times and counts must be 1-d arrays of equal length")
-        if times.size < 3:
-            raise ValidationError(f"need at least 3 points, got {times.size}")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(counts))):
-            raise ValidationError("times and counts must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly increasing")
         if np.any(counts <= 0):
             raise ValidationError("counts must be positive")
 

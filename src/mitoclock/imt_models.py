@@ -135,12 +135,17 @@ def model_from_dict(d) -> Model:
     return Model(family=d.get("family"), **params)
 
 
-def model_from_json(text: str) -> Model:
-    """Model from JSON text; ValidationError if the text is not a valid model."""
+def model_from_json(text: str | bytes) -> Model:
+    """Model from JSON text or UTF-8 bytes; ValidationError if they are not a valid model.
+
+    The JSON is a bare model object or a fit-result object that holds one under "model".
+    """
     try:
-        payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError
+        payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValidationError(f"not a JSON model: {exc}") from None
+    if isinstance(payload, dict):
+        payload = payload.get("model", payload)
     return model_from_dict(payload)
 
 

@@ -1,8 +1,8 @@
 """One CSV reader, one writer and one check for every table a user hands in or gets back.
 
 `write_columns` writes cells as `repr(float)`, which `read_columns` reads back
-exactly.  Rate, density and initial-profile tables pass `check_table`, from a
-file or not.  `r_squared` is the goodness of fit every fit reports.
+exactly.  Rate, density, initial-profile and growth tables pass `check_table`,
+from a file or not.  `r_squared` is the goodness of fit every fit reports.
 """
 
 from __future__ import annotations

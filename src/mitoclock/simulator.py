@@ -11,13 +11,16 @@ moves every cell up by one while removing the exactly integrated fraction
 1 - exp(-(hazard increment + mu*dt)).  The removed mass splits between
 division and death in proportion to their rates, divisions feed the newborn
 cell and the quiescent pool with weights 2*(1-f) and 2*f, and Q decays by
-explicit Euler.  The hazard increment is taken between cell centres, so cell
-j has died over (j + 1/2) steps: daughters take half a step of death on
-arrival, exp(-mu*dt/2) into P and exp(-mu_q*dt/2) into Q, which makes the
-scheme's growth rate match lambda to O(dt^2).  Mass budgets close exactly:
-pure transport conserves to rounding, N(t) is identical across f until the
-first division of a post-treatment cohort, and the labeling fraction below
-reproduces f exactly when nothing dies.
+explicit Euler.  The hazard H is read once, at the J + 1 lattice points
+c_j = (j + 1/2)*dt (the J cell centres and one more), and cell j's increment
+is dh_j = H(c_{j+1}) - H(c_j), so sum_{l<j} dh_l telescopes to H(c_j) - H(c_0).
+As the increment is taken between cell centres, cell j has died over
+(j + 1/2) steps: daughters take half a step of death on arrival, exp(-mu*dt/2)
+into P and exp(-mu_q*dt/2) into Q, which makes the scheme's growth rate match
+lambda to O(dt^2).  Mass budgets close exactly: pure transport conserves to
+rounding, N(t) is identical across f until the first division of a
+post-treatment cohort, and the labeling fraction below reproduces f exactly
+when nothing dies.
 
 `simulate` runs no time loop: it solves the scheme's own discrete renewal
 equation.  With J cells, the survival L_j = prod_{i<j} keep_i and the kernel
@@ -95,10 +98,11 @@ class SimConfig:
     initial: CustomProfile | None = None  # None: the equilibrium age profile, unit mass
 
     def __post_init__(self):
-        for name in ("mu", "t_end", "dt", "a_max", "mu_q"):
+        for name in ("mu", "f", "t_end", "dt", "a_max", "mu_q"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if not (value is None and name in ("a_max", "mu_q")
+                    or spectral.is_finite_number(value)):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if not (0.0 <= self.f <= 1.0):
             raise ValidationError(f"quiescent fraction f must be in [0, 1], got {self.f}")
         if self.dt <= 0:
@@ -153,18 +157,21 @@ class SimOutput:
 class _CellGrid:
     """Cells of spectral.build_grid(rate, dt, a_max) with per-step factors from one hazard call.
 
-    a_max keeps the value asked for, or the grid top J*dt, for the GridTooSmallError message.
+    The hazard H is read once, at the J + 1 lattice points (j + 1/2)*dt: `centers` and
+    `hazard` are the first J of them, and dh = diff(H) telescopes, so sum_{l<j} dh_l is
+    hazard[j] - hazard[0] to rounding.  a_max keeps the value asked for, or the grid top
+    J*dt, for the GridTooSmallError message.
     """
 
     def __init__(self, rate, mu: float, dt: float, a_max: float | None = None):
         grid = spectral.build_grid(rate, dt, a_max)
         self.dt, self.top = dt, float(grid[-1])
         self.a_max = self.top if a_max is None else a_max
-        self.centers = (np.arange(grid.size - 1) + 0.5) * dt
-        ends = np.concatenate((self.centers, self.centers + dt))
-        self.hazard, above = np.split(np.asarray(rate.hazard(ends), dtype=float), 2)
+        lattice = (np.arange(grid.size) + 0.5) * dt  # the J cell centres and one more
+        hazard = np.asarray(rate.hazard(lattice), dtype=float)
+        self.centers, self.hazard = lattice[:-1], hazard[:-1]
         # hazard picked up while a cell's content ages by one step
-        self.dh = dh = above - self.hazard
+        self.dh = dh = np.diff(hazard)
         if not np.isfinite(dh).all():
             raise ConfigurationError("hazard is not finite on the age cells")
         x = dh + mu * dt
@@ -503,29 +510,31 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     """Finite-window IMT density of a labeled cohort, and its L1 gap to the ideal.
 
     The cohort starts from the truncated equilibrium masses m0 and evolves by
-    pure transport and loss (daughters are not re-injected).  With the hazard
-    part Lh_j = -sum_{l<j} dh_l of a cell's log-survival, the division
+    pure transport and loss (daughters are not re-injected).  With the hazard part
+    Lh_j = H(c_0) - H(c_j) = -sum_{l<j} dh_l of a cell's log-survival, the division
     observable beta * p summed over the K = big_t / dt steps is the convolution
 
         acc_j = dt * beta_j * exp(Lh_j) * sum_{k<K} m0_{j-k} exp(-Lh_{j-k}) exp(-mu*dt*k),
 
     normalized into the finite-window density I_T; the returned gap is
     integral |I_T - I_inf| against the ideal density on the same cells.
-    Requires the rate to vanish on [0, t0] (hazard at t0 below HAZARD_TOL)
-    and big_t > t0, with big_t / dt at most MAX_STEPS and (big_t + t0) / dt
-    within spectral.MAX_CELLS.
+    Requires t0 >= 0, the rate to vanish on [0, t0] (hazard at t0 below
+    HAZARD_TOL) and big_t > t0, with big_t / dt at most MAX_STEPS and
+    (big_t + t0) / dt within spectral.MAX_CELLS.
     """
-    if not (all(math.isfinite(v) for v in (t0, big_t, dt)) and dt > 0):
-        raise ValidationError(f"t0, big_t and dt must be finite, dt > 0; got {t0}, {big_t}, {dt}")
+    if not (all(map(spectral.is_finite_number, (t0, big_t, dt))) and t0 >= 0 and dt > 0):
+        raise ValidationError(
+            f"t0, big_t and dt must be finite, t0 >= 0 and dt > 0; got {t0}, {big_t}, {dt}"
+        )
     spectral.check_death_rate(mu)
     if big_t <= t0:
         raise ValidationError(f"observation window {big_t} must exceed t0 = {t0}")
     if big_t / dt > MAX_STEPS:
         raise ValidationError(f"big_t / dt = {big_t / dt:.3g} steps > {MAX_STEPS}")
-    if float(rate.hazard(t0)) > HAZARD_TOL:
+    hazard_t0 = float(rate.hazard(t0))
+    if hazard_t0 > HAZARD_TOL:
         raise ValidationError(
-            f"division rate is not ~0 below t0 = {t0} "
-            f"(hazard {float(rate.hazard(t0)):.3g} > {HAZARD_TOL:g})"
+            f"division rate is not ~0 below t0 = {t0} (hazard {hazard_t0:.3g} > {HAZARD_TOL:g})"
         )
     steps = int(round(big_t / dt))
     if steps == 0:
@@ -536,7 +545,7 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
         raise ConfigurationError("division rate is not finite on the age cells")
     m0 = _equilibrium_masses(rate, mu, cells, t0)
 
-    lh = -np.concatenate(([0.0], np.cumsum(cells.dh[:-1])))
+    lh = cells.hazard[0] - cells.hazard
     # m0 > 0 only at ages <= t0, where -lh <= HAZARD_TOL; death stays a kernel of its
     # own, as folding mu*dt into lh would overflow exp(-lh) once mu*t0 exceeds ~709
     support = np.flatnonzero(m0)[-1] + 1

@@ -169,10 +169,18 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
     return _root(_renewal_table(rate, grid), mu)
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite real number; False for NaN, an infinity, None or a non-number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def check_death_rate(mu: float) -> None:
-    """Raise ValidationError unless the death rate mu is finite and nonnegative."""
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ValidationError(f"death rate must be finite and nonnegative, got {mu}")
+    """Raise ValidationError unless the death rate mu is a finite, nonnegative number."""
+    if not (is_finite_number(mu) and mu >= 0):
+        raise ValidationError(f"death rate must be a finite, nonnegative number, got {mu!r}")
 
 
 def _root(table: _RenewalTable, mu: float) -> float:

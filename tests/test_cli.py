@@ -226,6 +226,24 @@ def test_malformed_model_file_is_usage_error(tmp_path, capsys, text, command):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--f", "0", "--t-end", "10"], ["verify", "--suite", "eigen"]],
+    ids=["simulate", "verify"],
+)
+def test_model_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, encoding, command):
+    # json.loads would take UTF-16 bytes; a model file is read as UTF-8 only
+    path = tmp_path / "model.json"
+    text = json.dumps(dict(FITTED_MODEL, note="\u00e9"), ensure_ascii=False)
+    path.write_bytes(text.encode(encoding))
+    args = [command[0], str(path), *command[1:]]
+    if command[0] == "simulate":
+        args += ["--out-prefix", str(tmp_path / "x")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_simulate_deterministic_output(tmp_path, model_json):
     args = [
         "simulate", str(model_json), "--f", "0.6", "--t-end", "10", "--dt", "0.1",

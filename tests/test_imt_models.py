@@ -496,6 +496,14 @@ def test_model_json_round_trip():
         assert model_from_json(model.to_json()) == model
 
 
+def test_model_from_json_reads_utf8_bytes_and_fit_result_files():
+    fit_result = f'{{"model": {FIT_ERFC_MU.to_json()}, "r_squared": 0.99}}'
+    assert model_from_json(fit_result) == FIT_ERFC_MU
+    assert model_from_json(fit_result.encode("utf-8")) == FIT_ERFC_MU
+    with pytest.raises(ValidationError):
+        model_from_json(fit_result.encode("utf-16"))
+
+
 @pytest.mark.parametrize(
     "payload",
     [

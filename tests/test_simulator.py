@@ -98,6 +98,19 @@ def test_config_rejects_non_finite_numbers(name, value):
         SimConfig(**kwargs)
 
 
+NOT_NUMBERS = [("mu", None), ("f", None), ("t_end", None), ("dt", None), ("mu", "0.01"),
+               ("f", "0.5"), ("t_end", [10.0]), ("dt", "0.05"), ("a_max", "90"), ("mu_q", "0")]
+
+
+@pytest.mark.parametrize("name, value", NOT_NUMBERS)
+def test_config_rejects_values_that_are_not_numbers(name, value):
+    # only a_max and mu_q may be None
+    kwargs = dict(rate=ClosedFormRate(FIT_ERFC_MU), mu=0.0, f=0.5, t_end=10.0)
+    kwargs[name] = value
+    with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
+        SimConfig(**kwargs)
+
+
 @pytest.mark.parametrize("a_max", [-5.0, 0.0])
 def test_config_rejects_a_non_positive_a_max(a_max):
     with pytest.raises(ValidationError, match="a_max must be positive"):
@@ -592,11 +605,12 @@ def test_non_finite_rate_on_the_cells_rejected():
 
 
 class _CountingRate(ClosedFormRate):
-    """A closed-form rate that records the shape of every age argument it is given."""
+    """A closed-form rate that records the shape of every age argument it is given,
+    and the ages of every hazard call."""
 
     def __init__(self, model):
         super().__init__(model)
-        self.rate_shapes, self.hazard_shapes = [], []
+        self.rate_shapes, self.hazard_shapes, self.hazard_ages = [], [], []
 
     def __call__(self, a):
         self.rate_shapes.append(np.shape(a))
@@ -604,6 +618,7 @@ class _CountingRate(ClosedFormRate):
 
     def hazard(self, a):
         self.hazard_shapes.append(np.shape(a))
+        self.hazard_ages.append(np.array(a, dtype=float))
         return super().hazard(a)
 
 
@@ -622,8 +637,12 @@ def test_cell_setup_reads_the_hazard_once_and_the_rate_never(run, a_max):
     run(SimConfig(rate=rate, mu=FIT_ERFC_MU.mu, f=0.6, t_end=20.0, dt=0.05, a_max=a_max))
     # the grid's own extension may read the rate at one age; no cell array reaches it
     assert all(shape == () for shape in rate.rate_shapes)
-    assert rate.hazard_shapes.count((2 * n_cells,)) == 1
+    # one hazard call on the J + 1 lattice points (j + 1/2)*dt, and no other cell array
+    assert rate.hazard_shapes.count((n_cells + 1,)) == 1
     assert (n_cells,) not in rate.hazard_shapes
+    assert (2 * n_cells,) not in rate.hazard_shapes
+    lattice = rate.hazard_ages[rate.hazard_shapes.index((n_cells + 1,))]
+    np.testing.assert_array_equal(lattice, (np.arange(n_cells + 1) + 0.5) * 0.05)
 
 
 def test_off_lattice_a_max_takes_the_grid_cells_and_keeps_its_value():
@@ -704,6 +723,19 @@ def test_imt_experiment_rejects_non_finite_times(t0, big_t, dt):
 def test_imt_experiment_rejects_bad_death_rates(mu, t0):
     with pytest.raises(ValidationError, match="death rate"):
         imt_experiment(ClosedFormRate(FIT_ERFC), mu, t0, 60.0)
+
+
+@pytest.mark.parametrize("mu", [None, "0.01"])  # None: the mu of a gamma1 or erfc fit
+def test_imt_experiment_rejects_a_death_rate_that_is_not_a_number(mu):
+    with pytest.raises(ValidationError, match="death rate"):
+        imt_experiment(ClosedFormRate(FIT_ERFC), mu, 10.0, 60.0)
+
+
+@pytest.mark.parametrize("t0", [-1.0, -50.0, -0.01])
+def test_imt_experiment_rejects_a_negative_t0(t0):
+    # -0.01 used to run as if t0 were 0, and -1 and -50 to fail inside numpy
+    with pytest.raises(ValidationError, match="t0 >= 0"):
+        imt_experiment(ClosedFormRate(FIT_ERFC), 0.0, t0, 60.0)
 
 
 def test_imt_experiment_point_cohort_matches_survival_weighted_rate():

@@ -176,6 +176,13 @@ def test_death_rate_must_be_finite_and_nonnegative(mu):
         solve_lambda(ClosedFormRate(FIT_ERFC_MU), mu)
 
 
+@pytest.mark.parametrize("mu", [None, "0.01", [0.01]])  # None: the mu of a gamma1 fit
+@pytest.mark.parametrize("solve", [solve_lambda, equilibrium], ids=["solve_lambda", "equilibrium"])
+def test_death_rate_that_is_not_a_number_is_a_validation_error(solve, mu):
+    with pytest.raises(ValidationError, match="death rate"):
+        solve(ClosedFormRate(FIT_ERFC_MU), mu)
+
+
 def test_nondivergent_grid_rejected():
     rate = ClosedFormRate(Model(family="erfc", beta0=0.14, m=24.0, sigma=3.3))
     with pytest.raises(ConfigurationError):

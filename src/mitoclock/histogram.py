@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, StateError, ValidationError
-from .io import read_columns
+from .io import check_number, read_columns
 
 
 class Kind(enum.Enum):
@@ -39,8 +39,7 @@ class Histogram:
     def __post_init__(self):
         heights = np.asarray(self.heights, dtype=float)
         object.__setattr__(self, "heights", heights)
-        if not np.isfinite(self.bin_width) or self.bin_width <= 0:
-            raise ValidationError(f"bin width must be positive, got {self.bin_width}")
+        check_number(self.bin_width, "bin_width", 0, strict=True)
         if heights.ndim != 1 or heights.size < 2:
             raise ValidationError("histogram needs at least 2 bins")
         if not (np.isfinite(heights).all() and (heights >= 0).all()):
@@ -88,8 +87,7 @@ def reweight(h: Histogram, lam: float) -> Histogram:
     """
     if h.kind is not Kind.DENSITY:
         raise StateError(f"reweight expects a density histogram, got {h.kind.value}")
-    if not np.isfinite(lam):
-        raise ValidationError(f"lambda must be finite, got {lam}")
+    check_number(lam, "growth rate lambda")
     with np.errstate(over="raise"):
         try:
             weighted = 2.0 * h.heights * np.exp(-lam * h.midpoints)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedVariantError, ValidationError
-from .io import check_table
+from .io import check_number, check_table
 
 PARAMS = {
     "gamma1": ("m", "sigma"),
@@ -75,8 +75,7 @@ def erfc(z):
 
 def erfc_integral(m: float, sigma: float, a):
     """Integral of erfc((m - a')/sigma) for a' from 0 to a, in closed form."""
-    if not (math.isfinite(m) and math.isfinite(sigma) and sigma > 0):
-        raise ValidationError(f"need finite m and sigma > 0; got {m}, {sigma}")
+    m, sigma = check_number(m, "m"), check_number(sigma, "sigma", 0, strict=True)
     z = (m - np.asarray(a, dtype=float)) / sigma
     return _erfc_integral(m, sigma, z, erfc(z))
 
@@ -106,11 +105,8 @@ class Model:
             if name not in PARAMS[self.family]:
                 if value is not None:
                     raise ValidationError(f"{self.family} takes no {name}")
-            elif value is None or not (
-                math.isfinite(value) and (value > 0 if positive else value >= 0)
-            ):
-                bound = "> 0" if positive else ">= 0"
-                raise ValidationError(f"{self.family} needs {name} {bound}, got {value}")
+            else:
+                check_number(value, f"{self.family} {name}", 0, strict=positive)
 
     @property
     def death_rate(self) -> float:
@@ -324,12 +320,13 @@ def reweighted_density(model: Model, lam: float, a):
     equals 2*I(a)*exp(-lam*a) without death and integrates to 1 exactly when
     (rate, mu, lam) solve the growth eigenproblem.
     """
+    lam = check_number(lam, "growth rate lambda")
     return 2.0 * _decayed_density(model, a, model.death_rate + lam)
 
 
 def reweighted_mass(model: Model, lam: float) -> float:
     """Total mass of reweighted_density(model, lam, .); 1 when lam is the model's growth rate."""
-    return 2.0 * _mass(model, lam)
+    return 2.0 * _mass(model, check_number(lam, "growth rate lambda"))
 
 
 class ClosedFormRate:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import TruncationWarning, ValidationError
 from .fitter import _least_squares
 from .imt_models import Model, TabulatedRate, _erfc
-from .io import check_table, r_squared, read_columns, write_columns
+from .io import check_number, check_table, r_squared, read_columns, write_columns
 
 DENOMINATOR_FLOOR = 1e-10  # times total mass; below this the quotient is 0/0 noise
 TAIL_BIAS_GUARD = 1e3  # denominator must exceed this multiple of the estimated missing tail
@@ -112,8 +112,8 @@ class ErfcComparison:
 
 def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> ErfcComparison:
     """Compare a tabulated rate against beta0*erfc((m - a)/sigma) on its grid."""
-    if not (np.isfinite([beta0, m, sigma]).all() and sigma > 0):
-        raise ValidationError(f"need finite beta0, m and sigma > 0; got {beta0}, {m}, {sigma}")
+    beta0, m = check_number(beta0, "beta0"), check_number(m, "m")
+    sigma = check_number(sigma, "sigma", 0, strict=True)
     candidate, _ = _erfc(rate.ages, beta0, m, sigma)
     resid = rate.values - candidate
     return ErfcComparison(r_squared(rate.values, resid), float(np.abs(resid).max()))

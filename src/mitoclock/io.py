@@ -2,12 +2,14 @@
 
 `write_columns` writes cells as `repr(float)`, which `read_columns` reads back
 exactly.  Rate, density, initial-profile and growth tables pass `check_table`,
-from a file or not.  `r_squared` is the goodness of fit every fit reports.
+from a file or not, and every number a public function takes passes
+`check_number`.  `r_squared` is the goodness of fit every fit reports.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -71,6 +73,32 @@ def check_table(ages, values, min_rows: int, what: str) -> tuple[np.ndarray, np.
     if not (np.isfinite(values).all() and (values >= 0).all()):
         raise ValidationError(f"{what} values must be finite and nonnegative")
     return ages, values
+
+
+def check_number(value, name: str, lo: float | None = None, hi: float | None = None,
+                 strict: bool = False) -> float:
+    """value as a float; ValidationError naming `name` unless it is a finite real number in range.
+
+    None, a string, a list or an array is not a number; a numpy scalar is.  With lo given,
+    value >= lo (value > lo if strict), and with hi given too, value <= hi.  The last word
+    of name is its symbol: "death rate mu must be nonnegative (mu >= 0), got -0.5".
+    """
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else None
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if number is None or not math.isfinite(number):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    if lo is None or (lo < number if strict else lo <= number) and (hi is None or number <= hi):
+        return number
+    op = ">" if strict else ">="
+    if hi is not None:
+        rule = f"in {'(' if strict else '['}{lo:g}, {hi:g}]"
+    elif lo == 0:
+        rule = f"{'positive' if strict else 'nonnegative'} ({name.split()[-1]} {op} 0)"
+    else:
+        rule = f"{op} {lo:g}"
+    raise ValidationError(f"{name} must be {rule}, got {number!r}")
 
 
 def r_squared(observed, residuals) -> float:

@@ -61,7 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral
 from .errors import ConfigurationError, GridTooSmallError, ValidationError
-from .io import check_table, write_columns
+from .io import check_number, check_table, write_columns
 from .spectral import AgeProfile
 
 ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age cell
@@ -98,27 +98,17 @@ class SimConfig:
     initial: CustomProfile | None = None  # None: the equilibrium age profile, unit mass
 
     def __post_init__(self):
-        for name in ("mu", "f", "t_end", "dt", "a_max", "mu_q"):
-            value = getattr(self, name)
-            if not (value is None and name in ("a_max", "mu_q")
-                    or spectral.is_finite_number(value)):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        if not (0.0 <= self.f <= 1.0):
-            raise ValidationError(f"quiescent fraction f must be in [0, 1], got {self.f}")
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValidationError("t_end must cover at least one step")
-        if self.t_end / self.dt > MAX_STEPS:
-            raise ValidationError(f"t_end / dt = {self.t_end / self.dt:.3g} steps > {MAX_STEPS}")
+        check_number(self.mu, "death rate mu", 0)
+        check_number(self.f, "quiescent fraction f", 0, 1)
+        t_end, dt = check_number(self.t_end, "t_end"), check_number(self.dt, "dt", 0, strict=True)
         if self.a_max is not None:
-            if self.a_max <= 0:
-                raise ValidationError(f"a_max must be positive, got {self.a_max}")
-            spectral.check_cell_count(self.a_max, self.dt)
-        if self.mu < 0:
-            raise ValidationError(f"mu must be nonnegative, got {self.mu}")
-        if self.mu_q is not None and self.mu_q < 0:
-            raise ValidationError(f"mu_q must be nonnegative, got {self.mu_q}")
+            spectral.check_cell_count(check_number(self.a_max, "a_max", 0, strict=True), dt)
+        if self.mu_q is not None:
+            check_number(self.mu_q, "quiescent death rate mu_q", 0)
+        if t_end < dt:
+            raise ValidationError("t_end must cover at least one step")
+        if t_end / dt > MAX_STEPS:
+            raise ValidationError(f"t_end / dt = {t_end / dt:.3g} steps > {MAX_STEPS}")
         if self.dt * self.quiescent_death_rate > 1.0:
             # Q decays by the Euler factor 1 - dt*mu_q, which must stay nonnegative
             raise ValidationError(
@@ -404,15 +394,17 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     snapshots holds one (time, age profile) pair per requested snapshot time,
     in the order given, each at the step nearest to it.  births and
     quiescence_influx record the mass that arrives in P and Q.  Raises
-    ValidationError for a snapshot time that is not finite or lies outside
+    ValidationError unless snapshot_times is None or an iterable of numbers in
     [0, t_end], and GridTooSmallError, at the first such step, if noticeable
     mass reaches the top age cell.
     """
     dt = config.dt
-    snap_times = [] if snapshot_times is None else [float(t) for t in snapshot_times]
-    for t in snap_times:
-        if not (math.isfinite(t) and 0.0 <= t <= config.t_end):
-            raise ValidationError(f"snapshot time {t} is not within [0, t_end = {config.t_end}]")
+    try:
+        requested = [] if snapshot_times is None else list(snapshot_times)
+    except TypeError:
+        raise ValidationError(
+            f"snapshot_times must be an iterable of times, got {snapshot_times!r}") from None
+    snap_times = [check_number(t, "snapshot time", 0, config.t_end) for t in requested]
     snap_steps = [int(round(t / dt)) for t in snap_times]
     cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
     if config.initial is None:
@@ -489,8 +481,7 @@ def quiescent_fraction(config: SimConfig, t0: float) -> float:
     Both terms accumulate the same per-step division mass, so with
     mu = mu_q = 0 the result equals f exactly.
     """
-    if not (math.isfinite(t0) and t0 >= 0):
-        raise ValidationError(f"t0 must be finite and nonnegative, got {t0}")
+    t0 = check_number(t0, "t0", 0)
     if t0 > config.t_end + 1e-12:
         raise ValidationError(f"simulation horizon {config.t_end} is shorter than t0 = {t0}")
     return _labelled_fraction(simulate(config), config.dt, t0)
@@ -522,11 +513,8 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     HAZARD_TOL) and big_t > t0, with big_t / dt at most MAX_STEPS and
     (big_t + t0) / dt within spectral.MAX_CELLS.
     """
-    if not (all(map(spectral.is_finite_number, (t0, big_t, dt))) and t0 >= 0 and dt > 0):
-        raise ValidationError(
-            f"t0, big_t and dt must be finite, t0 >= 0 and dt > 0; got {t0}, {big_t}, {dt}"
-        )
-    spectral.check_death_rate(mu)
+    t0, big_t = check_number(t0, "t0", 0), check_number(big_t, "big_t")
+    dt, mu = check_number(dt, "dt", 0, strict=True), check_number(mu, "death rate mu", 0)
     if big_t <= t0:
         raise ValidationError(f"observation window {big_t} must exceed t0 = {t0}")
     if big_t / dt > MAX_STEPS:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .imt_models import _gauss_legendre
-from .io import write_columns
+from .io import check_number, write_columns
 
 SURVIVAL_TOL = 1e-12  # divergence check: exp(-hazard) must fall below this
 LAMBDA_MAX = 10.0
@@ -122,11 +122,13 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
     length log(1/SURVIVAL_TOL)/rate(m + 12*sigma) (closed forms) or 400
     quarters of the table.  Raises ConfigurationError if the rate never
     accumulates enough hazard (e.g. a rate that is identically zero), and
-    ValidationError if the grid would have more than MAX_CELLS cells.
+    ValidationError if the grid would have more than MAX_CELLS cells, or if
+    a_max is not given and the rate has neither a .model nor .ages to start from.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"step must be finite and positive, got {step}")
-    if a_max is None:
+    step = check_number(step, "step", 0, strict=True)
+    if a_max is not None:
+        a_max = check_number(a_max, "a_max", 0, strict=True)
+    else:
         model = getattr(rate, "model", None)
         if model is not None:
             a_max = model.m + 12.0 * model.sigma
@@ -135,10 +137,15 @@ def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> 
             # SURVIVAL_TOL within log(1/SURVIVAL_TOL)/rate(a_max) more hours: on a slow
             # plateau that can be far more than 400 chunks of the sigma scale
             cap = a_max + 400.0 * chunk + 2.0 * math.log(1.0 / SURVIVAL_TOL) / float(rate(a_max))
-        else:
+        elif hasattr(rate, "ages"):
             a_max = float(rate.ages[-1])
             chunk = max(0.25 * a_max, 10.0 * step)
             cap = a_max + 400.0 * chunk
+        else:
+            raise ValidationError(
+                f"cannot size an age grid for a {type(rate).__name__}: the rate needs a "
+                "closed-form .model or tabulated .ages, or the caller an a_max or grid"
+            )
         while math.exp(-float(rate.hazard(a_max))) >= SURVIVAL_TOL:
             a_max += chunk
             if a_max > cap:
@@ -169,23 +176,9 @@ def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
     return _root(_renewal_table(rate, grid), mu)
 
 
-def is_finite_number(value) -> bool:
-    """True for a finite real number; False for NaN, an infinity, None or a non-number."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
-
-
-def check_death_rate(mu: float) -> None:
-    """Raise ValidationError unless the death rate mu is a finite, nonnegative number."""
-    if not (is_finite_number(mu) and mu >= 0):
-        raise ValidationError(f"death rate must be a finite, nonnegative number, got {mu!r}")
-
-
 def _root(table: _RenewalTable, mu: float) -> float:
     """solve_lambda on a table that equilibrium reuses for its adjoint sources."""
-    check_death_rate(mu)
+    mu = check_number(mu, "death rate mu", 0)
     if math.exp(-table.hazard_top) >= SURVIVAL_TOL:
         raise ConfigurationError(
             f"division survival at the grid end ({math.exp(-table.hazard_top):.2e}) "
@@ -234,10 +227,8 @@ def falsi_root(g, lo: float) -> float:
 
 def renewal_residual(rate, mu: float, lam: float, grid: np.ndarray) -> float:
     """g(lam) for a given growth rate; zero at the solved eigenvalue."""
-    check_death_rate(mu)
-    if not math.isfinite(lam):
-        raise ValidationError(f"growth rate must be finite, got {lam}")
-    return _renewal_value(_renewal_table(rate, grid), mu + lam) - 1.0
+    k = check_number(mu, "death rate mu", 0) + check_number(lam, "growth rate lambda")
+    return _renewal_value(_renewal_table(rate, grid), k) - 1.0
 
 
 def equilibrium(rate, mu: float, step: float = DEFAULT_STEP,
@@ -293,8 +284,7 @@ def gre_functional(profile: AgeProfile, adjoint: AgeProfile, lam: float, t: floa
         raise ValidationError("each table needs matching ages and values")
     if ages.shape != phi_ages.shape or not np.allclose(ages, phi_ages, rtol=0, atol=1e-9):
         raise ValidationError("profile and adjoint must share the same age grid")
-    if not (math.isfinite(lam) and math.isfinite(t)):
-        raise ValidationError(f"lam and t must be finite, got {lam}, {t}")
+    lam, t = check_number(lam, "growth rate lambda"), check_number(t, "time t")
     try:
         decay = math.exp(-lam * t)
     except OverflowError:

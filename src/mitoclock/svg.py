@@ -10,10 +10,9 @@ _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 30, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round tick values covering [lo, hi], lo < hi, about six of them."""
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
@@ -28,7 +27,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks
 
 
-def line_plot(curves, path, title: str = "", x_label: str = "", y_label: str = "") -> None:
+def line_plot(curves, path, title: str, x_label: str, y_label: str) -> None:
     """Write labelled polyline curves [(label, xs, ys), ...] as an SVG file."""
     xs_all = [x for _, xs, _ in curves for x in xs]
     ys_all = [y for _, _, ys in curves for y in ys]
@@ -56,12 +55,9 @@ def line_plot(curves, path, title: str = "", x_label: str = "", y_label: str = "
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN_T - 10}" text-anchor="middle" '
+        f'font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN_T - 10}" text-anchor="middle" '
-            f'font-size="15">{title}</text>'
-        )
     for t in _ticks(x_lo, x_hi):
         x = px(t)
         parts.append(
@@ -82,17 +78,13 @@ def line_plot(curves, path, title: str = "", x_label: str = "", y_label: str = "
             f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end" '
             f'font-size="11">{t:g}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
-            f'text-anchor="middle" font-size="13">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-size="13" transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">'
-            f"{y_label}</text>"
-        )
+    parts += [
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
+        f'text-anchor="middle" font-size="13">{x_label}</text>',
+        f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-size="13" transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">'
+        f"{y_label}</text>",
+    ]
     for k, (label, xs, ys) in enumerate(curves):
         color = _COLORS[k % len(_COLORS)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))

@@ -22,6 +22,7 @@ from mitoclock import (
     solve_lambda,
 )
 from mitoclock.checks import predicted_fraction
+from mitoclock.imt_models import cumulative_hazard, division_rate
 from mitoclock.simulator import (
     ESCAPE_TOL,
     MAX_STEPS,
@@ -693,6 +694,39 @@ def test_zero_and_subnormal_starts_stay_allowed(height):
     out = simulate(SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=10.0, dt=0.025,
                              initial=start))
     assert not out.N.any()
+
+
+class BareRate:
+    """A gamma2 rate with a hazard but neither a closed-form .model nor tabulated .ages."""
+
+    def __call__(self, a):
+        return division_rate(GAMMA2, a)
+
+    def hazard(self, a):
+        return cumulative_hazard(GAMMA2, a)
+
+
+SIZED_BY_A_RATE = {
+    "simulate": lambda: simulate(SimConfig(rate=BareRate(), mu=0.0, f=0.0, t_end=10.0)),
+    "simulate-a_max": lambda: simulate(SimConfig(rate=BareRate(), mu=0.0, f=0.0, t_end=10.0,
+                                                 a_max=215.0)),
+    "solve_lambda": lambda: solve_lambda(BareRate(), 0.0),
+    "imt_experiment": lambda: imt_experiment(BareRate(), 0.0, 5.0, 60.0),
+}
+
+
+@pytest.mark.parametrize("call", SIZED_BY_A_RATE.values(), ids=SIZED_BY_A_RATE)
+def test_a_rate_the_grid_cannot_be_sized_for_is_rejected(call):
+    # the equilibrium start and the cohort solve lambda on a grid the rate must size
+    with pytest.raises(ValidationError, match=r"\.model or tabulated \.ages"):
+        call()
+
+
+def test_a_rate_without_model_or_ages_runs_from_a_custom_start_with_a_max():
+    start = CustomProfile(np.array([0.0, 30.0]), np.array([0.1, 0.1]))
+    runs = [simulate(SimConfig(rate=rate, mu=0.0, f=0.5, t_end=10.0, a_max=215.0, initial=start))
+            for rate in (BareRate(), ClosedFormRate(GAMMA2))]
+    np.testing.assert_array_equal(runs[0].N, runs[1].N)
 
 
 # --- labeled-cohort observation window ------------------------------------

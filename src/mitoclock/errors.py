@@ -36,7 +36,8 @@ class ConfigurationError(MitoclockError, RuntimeError):
 
 
 class GridTooSmallError(ConfigurationError):
-    """Simulated mass reached the upper age boundary."""
+    """The age cells are too short: simulated mass reached the upper age boundary, or the
+    cells end before the division rate's divergence range."""
 
 
 class FitConvergenceError(MitoclockError, RuntimeError):

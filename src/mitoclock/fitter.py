@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -210,6 +211,18 @@ def _spread_starts(x0: np.ndarray, names, rng) -> list[np.ndarray]:
     return starts
 
 
+def _seed(seed) -> int:
+    """seed, or else MITOCLOCK_SEED, or else 0, as an int; ValidationError naming its source
+    unless it is a nonnegative integer."""
+    name = "seed"
+    if seed is None:
+        name, seed = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        seed = int(seed) if seed.isdecimal() else seed
+    if isinstance(seed, numbers.Integral) and seed >= 0:
+        return int(seed)
+    raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
 def fit_imt(
     h: Histogram,
     family: str,
@@ -223,6 +236,7 @@ def fit_imt(
     histogram's moments) and `N_STARTS - 1` seeded jitters of it, and returns
     the lowest-cost answer.  `max_iter` caps the residual-and-Jacobian
     evaluations of each start; a start that reaches it has not converged.
+    The seed, or MITOCLOCK_SEED without one, must be a nonnegative integer.
     Raises FitConvergenceError (carrying the best result found) if no start
     converges, and emits a BoundaryWarning when a fitted parameter is pinned
     at a bound.
@@ -233,8 +247,7 @@ def fit_imt(
         raise StateError("fit_imt expects a reweighted histogram; call reweight() first")
     if not h.heights.any():
         raise DegenerateInputError("histogram has no mass; there is nothing to fit")
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    seed = _seed(seed)
     lam = h.lambda_used
     names = PARAMS[family]
     mids = h.midpoints

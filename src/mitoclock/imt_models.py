@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedVariantError, ValidationError
-from .io import check_number, check_table
+from .io import check_ages, check_number, check_table
 
 PARAMS = {
     "gamma1": ("m", "sigma"),
@@ -308,7 +308,7 @@ def imt_density(model: Model, a):
     without death (the density then integrates to 1 exactly) and is computed
     by `_mass` for a family with a death rate.
     """
-    density = _decayed_density(model, a, model.death_rate)
+    density = _decayed_density(model, check_ages(a), model.death_rate)
     return density if model.mu is None else density / _mass(model, 0.0)
 
 
@@ -321,7 +321,7 @@ def reweighted_density(model: Model, lam: float, a):
     (rate, mu, lam) solve the growth eigenproblem.
     """
     lam = check_number(lam, "growth rate lambda")
-    return 2.0 * _decayed_density(model, a, model.death_rate + lam)
+    return 2.0 * _decayed_density(model, check_ages(a), model.death_rate + lam)
 
 
 def reweighted_mass(model: Model, lam: float) -> float:

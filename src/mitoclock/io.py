@@ -2,14 +2,16 @@
 
 `write_columns` writes cells as `repr(float)`, which `read_columns` reads back
 exactly.  Rate, density, initial-profile and growth tables pass `check_table`,
-from a file or not, and every number a public function takes passes
-`check_number`.  `r_squared` is the goodness of fit every fit reports.
+from a file or not, every number a public function takes passes
+`check_number`, and the ages a density is evaluated at pass `check_ages`.
+`r_squared` is the goodness of fit every fit reports.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -99,6 +101,17 @@ def check_number(value, name: str, lo: float | None = None, hi: float | None = N
     else:
         rule = f"{op} {lo:g}"
     raise ValidationError(f"{name} must be {rule}, got {number!r}")
+
+
+def check_ages(a) -> np.ndarray:
+    """a as a float array; ValidationError unless every entry is a finite real number.
+
+    None, a string or an object array is not a number, although numpy would turn None into nan.
+    """
+    ages = np.asarray(a)
+    if ages.dtype.kind not in "biuf" or not np.isfinite(ages).all():
+        raise ValidationError(f"age must be finite numbers, got {reprlib.repr(a)}")
+    return ages.astype(float, copy=False)
 
 
 def r_squared(observed, residuals) -> float:

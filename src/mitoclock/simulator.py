@@ -29,7 +29,10 @@ when it has aged into cell j, so the division mass d_n and P_n of step n are
 
     d_n = sum_j K_j b_{n-j},   b_{n+1} = 2(1-f) exp(-mu*dt/2) d_n,   P_n = sum_j L_j b_{n-j};
 
-the start enters as virtual newborns b_{-k} = m0_k / L_k.  Cell j of a profile
+the start enters as virtual newborns b_{-k} = m0_k / L_k.  The equilibrium start is
+the scheme's own eigenvector, m0_j proportional to L_j exp(-lambda_d*dt*j), lambda_d the
+root of its renewal sum on the run's cells (`_growth_rate`): its b_{-k} are geometric, so
+an untreated run grows as exp(lambda_d*t) from t = 0 to rounding.  Cell j of a profile
 is L_j * b_{n-j}, the top cell at step n is L_{J-1} * b_{n-J+1} (its keep is
 never used: its content leaves the window), and Q keeps its recursion.  The
 equation is solved BLOCK steps at a time: inside a block exactly, by one
@@ -95,7 +98,7 @@ class SimConfig:
     dt: float = 0.05
     a_max: float | None = None
     mu_q: float | None = None
-    initial: CustomProfile | None = None  # None: the equilibrium age profile, unit mass
+    initial: CustomProfile | None = None  # None: the scheme's equilibrium profile, unit mass
 
     def __post_init__(self):
         check_number(self.mu, "death rate mu", 0)
@@ -171,21 +174,17 @@ class _CellGrid:
         self.div_frac = removed * div_share  # mass fraction dividing per step
 
 
-def _equilibrium_masses(rate, mu: float, cells: _CellGrid, t0: float | None) -> np.ndarray:
-    if t0 is not None and t0 < cells.dt / 2:  # no cell center <= t0: a unit cohort in cell 0
-        m = np.zeros_like(cells.centers)
-        m[0] = 1.0
-        return m
-    # lambda needs the full divergence range even when the cell grid is short; the
-    # renewal quadrature is accurate at the default step whatever the cells' dt
-    lam = spectral.solve_lambda(rate, mu)
-    weights = np.exp(-(cells.hazard + (mu + lam) * cells.centers))
+def _equilibrium_masses(cells: _CellGrid, mu: float, lam: float, t0: float | None = None):
+    """Unit-total cell masses proportional to exp(-(H(c_j) + (mu + lam)*c_j)), cut to c_j <= t0.
+
+    They are taken relative to the first cell, whose weight is 1, so none of mu >= 0,
+    lam >= -mu or a steep hazard can underflow them all.
+    """
+    ages = cells.centers - cells.centers[0]
+    weights = np.exp(cells.hazard[0] - cells.hazard - (mu + lam) * ages)
     if t0 is not None:
         weights = np.where(cells.centers <= t0, weights, 0.0)
-    total = weights.sum()
-    if total <= 0:
-        raise ValidationError("equilibrium profile has no mass on the grid")
-    return weights / total
+    return weights / weights.sum()
 
 
 def _start_masses(init: CustomProfile, cells: _CellGrid) -> np.ndarray:
@@ -218,16 +217,6 @@ def _start_masses(init: CustomProfile, cells: _CellGrid) -> np.ndarray:
             f"centre (cells of width dt = {cells.dt:g}); lower dt or widen the profile"
         )
     return m0
-
-
-def _kernel(keep: np.ndarray, div_frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Survival L_j = prod_{i<j} keep_i from the first cell, and the kernel K_j = div_frac_j * L_j.
-
-    `simulate` solves its renewal equation with this kernel, and `scheme_growth_rate`
-    finds its growth rate from it.
-    """
-    survival = np.cumprod(np.concatenate(([1.0], keep[:-1])))
-    return survival, div_frac * survival
 
 
 class _Run(NamedTuple):
@@ -326,7 +315,8 @@ def _renewal(cells: _CellGrid, c: float, m0: np.ndarray, steps: int) -> list[_Ru
     anchors = []
     first = 0
     while first < n_cells:
-        survival, kernel = _kernel(cells.keep[first:], cells.div_frac[first:])
+        survival = np.cumprod(np.concatenate(([1.0], cells.keep[first:-1])))  # L from `first`
+        kernel = cells.div_frac[first:] * survival
         over = np.flatnonzero(m0[first:] > survival * scale)
         end = n_cells if over.size == 0 else first + int(over[0])
         start = np.zeros(n_cells - first)
@@ -407,8 +397,8 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     snap_times = [check_number(t, "snapshot time", 0, config.t_end) for t in requested]
     snap_steps = [int(round(t / dt)) for t in snap_times]
     cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
-    if config.initial is None:
-        m0 = _equilibrium_masses(config.rate, config.mu, cells, None)
+    if config.initial is None:  # the scheme's own stable age distribution
+        m0 = _equilibrium_masses(cells, config.mu, _growth_rate(cells, config.mu))
     else:
         m0 = _start_masses(config.initial, cells)
     f = config.f
@@ -450,29 +440,34 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
 def scheme_growth_rate(config: SimConfig) -> float:
     """lambda_d, the growth rate of the scheme's untreated newborn series, on config's cells.
 
-    The root of 2 exp(-mu*dt/2) sum_j K_j exp(-lambda_d*dt*(j+1)) = 1, with the kernel
-    K that `simulate` solves with, found by spectral.falsi_root.  Where the grid reaches
-    the rate's divergence range, lambda_d approaches solve_lambda's lambda as O(dt^2).
-    f and the start do not enter.
+    Where the grid reaches the rate's divergence range, lambda_d approaches solve_lambda's
+    lambda as O(dt^2).  f and the start do not enter.  Solved by `_growth_rate`.
     """
-    dt = config.dt
-    cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
-    _, kernel = _kernel(cells.keep, cells.div_frac)
-    newborn = 2.0 * math.exp(-config.mu * dt / 2.0)
-    lags = dt * np.arange(1, kernel.size + 1)
+    return _growth_rate(_CellGrid(config.rate, config.mu, config.dt, config.a_max), config.mu)
+
+
+def _growth_rate(cells: _CellGrid, mu: float) -> float:
+    """Root of 2 exp(-mu*dt/2) sum_j K_j exp(-lambda*dt*(j+1)) = 1, K the kernel `_renewal` uses.
+
+    With death taken out, as in `spectral`, K_j = Kt_j exp(-mu*dt*j), Kt_j = div_frac_j *
+    exp(H(c_0) - H(c_j)), and spectral.falsi_root finds the root of the log of the left side,
+    log 2 + mu*dt/2 + log sum_j Kt_j exp(-(mu + lambda)*dt*(j+1)): a log-sum-exp, which no mu
+    overflows or underflows.  Raises GridTooSmallError if it is <= 0 at lambda = -mu.
+    """
+    live = cells.div_frac > 0
+    log_kernel = np.log(cells.div_frac[live]) + cells.hazard[0] - cells.hazard[live]
+    lags = cells.dt * (np.flatnonzero(live) + 1)
+    shift = math.log(2.0) + mu * cells.dt / 2.0
 
     def g(lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = newborn * float(kernel @ np.exp(-lam * lags)) - 1.0
-        if not math.isfinite(value):
-            raise ConfigurationError(f"scheme renewal sum is {value} at lambda = {lam}")
-        return value
+        x = log_kernel - (mu + lam) * lags
+        top = x.max()
+        return top + math.log(float(np.exp(x - top).sum())) + shift
 
-    # g(-mu) >= 1 - 2*survival(a_max) > 0 once the rate has diverged on the cells
-    if g(-config.mu) <= 0.0:
-        raise ConfigurationError("the scheme's renewal sum is below 1 at lambda = -mu; "
-                                 "the cells do not reach the rate's divergence range")
-    return spectral.falsi_root(g, -config.mu)
+    if not live.any() or g(-mu) <= 0.0:
+        raise GridTooSmallError(f"the age cells end at a_max = {cells.a_max:g}, before the "
+                                "rate's divergence range; increase a_max or check the rate")
+    return spectral.falsi_root(g, -mu)
 
 
 def quiescent_fraction(config: SimConfig, t0: float) -> float:
@@ -500,7 +495,8 @@ def _labelled_fraction(out: SimOutput, dt: float, t0: float) -> float:
 def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     """Finite-window IMT density of a labeled cohort, and its L1 gap to the ideal.
 
-    The cohort starts from the truncated equilibrium masses m0 and evolves by
+    The cohort starts from the equilibrium masses m0 of solve_lambda's lambda (the
+    continuous experiment's; the short cells could not give one), cut at t0, and evolves by
     pure transport and loss (daughters are not re-injected).  With the hazard part
     Lh_j = H(c_0) - H(c_j) = -sum_{l<j} dh_l of a cell's log-survival, the division
     observable beta * p summed over the K = big_t / dt steps is the convolution
@@ -531,7 +527,10 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     beta = np.asarray(rate(cells.centers), dtype=float)
     if not np.isfinite(beta).all():
         raise ConfigurationError("division rate is not finite on the age cells")
-    m0 = _equilibrium_masses(rate, mu, cells, t0)
+    # with no cell centre <= t0, a unit mass in the first cell, and no lambda to solve
+    first = cells.centers[0]
+    lam = spectral.solve_lambda(rate, mu) if t0 >= first else 0.0
+    m0 = _equilibrium_masses(cells, mu, lam, max(t0, first))
 
     lh = cells.hazard[0] - cells.hazard
     # m0 > 0 only at ages <= t0, where -lh <= HAZARD_TOL; death stays a kernel of its

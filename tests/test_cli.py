@@ -95,6 +95,18 @@ def test_fit_imt_unknown_family_is_usage_error(data_dir):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flags, env, name", [(["--seed", "-1"], None, "seed"),
+                                              ([], "abc", "MITOCLOCK_SEED")])
+def test_fit_imt_bad_seed_is_usage_error(data_dir, monkeypatch, capsys, flags, env, name):
+    if env is not None:
+        monkeypatch.setenv("MITOCLOCK_SEED", env)
+    code = main(["fit-imt", str(data_dir / "imt_histogram.csv"), "--dt", "1.25",
+                 "--lambda", "0.022", "--family", "erfc", *flags])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} must be a nonnegative integer")
+
+
 def test_fit_imt_family_choices_are_the_model_families():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -156,6 +156,21 @@ def test_seed_env_variable(monkeypatch):
     assert from_env.model == explicit.model
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -1])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected(seed):
+    h = synthetic_histogram(mc.Model(family="erfc", beta0=0.15, m=24.0, sigma=3.0))
+    with pytest.raises(ValidationError, match=r"^seed must be a nonnegative integer"):
+        fit_imt(h, "erfc", seed=seed)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1", ""])
+def test_a_seed_env_variable_that_is_not_a_nonnegative_integer_is_rejected(monkeypatch, value):
+    h = synthetic_histogram(mc.Model(family="erfc", beta0=0.15, m=24.0, sigma=3.0))
+    monkeypatch.setenv("MITOCLOCK_SEED", value)
+    with pytest.raises(ValidationError, match=r"^MITOCLOCK_SEED must be a nonnegative integer"):
+        fit_imt(h, "erfc")
+
+
 def test_explicit_init_is_honored():
     model = mc.Model(family="gamma1", m=17.0, sigma=2.0)
     h = synthetic_histogram(model)

@@ -357,6 +357,26 @@ def test_emg_density_is_skewed_unimodal():
 
 # --- reweighted densities ----------------------------------------------------
 
+NAN, INF = float("nan"), float("inf")
+BAD_AGES = {"none": None, "string": "x", "nan": NAN, "inf": INF,
+            "list-with-none": [1.0, None], "array-with-nan": np.array([10.0, NAN])}
+
+
+DENSITIES = {"imt_density": imt_density,
+             "reweighted_density": lambda model, a: reweighted_density(model, 0.022, a)}
+AGE_MODELS = {"gamma1": Model(family="gamma1", m=17.0, sigma=2.0), "erfc-mu": FIT_ERFC_MU,
+              "emg": Model(family="emg", beta0=0.2, m=22.0, sigma=2.5)}
+
+
+@pytest.mark.parametrize("a", BAD_AGES.values(), ids=BAD_AGES)
+@pytest.mark.parametrize("density", DENSITIES.values(), ids=DENSITIES)
+@pytest.mark.parametrize("model", AGE_MODELS.values(), ids=AGE_MODELS)
+def test_density_rejects_an_age_that_is_not_a_finite_number(density, model, a):
+    # imt_density(gamma1, None) was nan: numpy reads None as nan
+    with pytest.raises(ValidationError, match="age must be finite numbers"):
+        density(model, a)
+
+
 def test_reweighted_density_zero_lambda_doubles_mass():
     model = Model(family="gamma2", m=17.0, sigma=2.0)
     mass, _ = integrate.quad(

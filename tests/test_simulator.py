@@ -28,6 +28,7 @@ from mitoclock.simulator import (
     MAX_STEPS,
     _CellGrid,
     _equilibrium_masses,
+    _growth_rate,
     scheme_growth_rate,
 )
 from mitoclock.spectral import MAX_CELLS, build_grid
@@ -313,7 +314,7 @@ def shifted_run(config, snapshot_times=()):
     cells = _CellGrid(config.rate, config.mu, dt, a_max)
     init = config.initial
     if init is None:
-        m = _equilibrium_masses(config.rate, config.mu, cells, None)
+        m = _equilibrium_masses(cells, config.mu, _growth_rate(cells, config.mu))
     else:
         inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
         m = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
@@ -403,6 +404,11 @@ GOLDEN = {
     "start-across-a-spike": SimConfig(
         rate=SPIKE, mu=0.01, f=0.3, t_end=50.0, a_max=100.0,
         initial=CustomProfile(np.array([10.0, 40.0]), np.array([0.1, 0.1]))),
+    # steep death: survival L_k underflows within the cells, so the equilibrium start is
+    # split into anchored runs
+    "steep-death": SimConfig(rate=REFERENCE, mu=19.9, f=0.3, t_end=90.0, mu_q=0.0),
+    "steep-death-coarse": SimConfig(rate=REFERENCE, mu=5.0, f=0.3, t_end=90.0, dt=0.1,
+                                    mu_q=0.0),
 }
 
 
@@ -410,6 +416,51 @@ GOLDEN = {
 def test_golden_runs_match_the_shift_loop(config):
     out = assert_matches_the_shift_loop(config, [0.0, config.t_end / 3, config.t_end])
     assert np.isfinite(out.N).all()
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_RATES)
+@given(mu=st.floats(min_value=0.0, max_value=0.5), dt=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_equilibrium_start_grows_at_the_schemes_own_rate(family, mu, dt):
+    # the start is the scheme's own eigenvector, so an untreated run grows as
+    # exp(lambda_d t) from its first step, with no transient
+    config = SimConfig(rate=CLOSED_FORM_RATES[family], mu=mu, f=0.0, t_end=60.0, dt=dt)
+    out = simulate(config)
+    drift = out.N / out.N[0] * np.exp(-scheme_growth_rate(config) * out.times) - 1.0
+    assert np.abs(drift).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [7.0, 10.0, 19.9])
+def test_scheme_growth_rate_solves_its_renewal_sum_under_steep_death(mu):
+    # 2 exp(-mu*dt/2) sum_j K_j exp(-lambda_d*dt*(j+1)) - 1 with K_j = div_frac_j * L_j,
+    # L_j summed in the log from the per-step losses dh_j + mu*dt
+    config = SimConfig(rate=REFERENCE, mu=mu, f=0.0, t_end=10.0, mu_q=0.0)
+    lam = scheme_growth_rate(config)
+    assert math.isfinite(lam)
+    cells = _CellGrid(config.rate, mu, config.dt)
+    log_survival = -np.concatenate(([0.0], np.cumsum(cells.dh + mu * config.dt)[:-1]))
+    lags = config.dt * np.arange(1, cells.dh.size + 1)
+    terms = cells.div_frac * np.exp(log_survival - lam * lags)
+    assert abs(2.0 * math.exp(-mu * config.dt / 2.0) * terms.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [500.0, 1e5])
+def test_scheme_growth_rate_stays_in_its_bounds_at_any_death_rate(mu):
+    # sum_j div_frac_j exp(H(c_0) - H(c_j)) <= 1 bounds the root, -mu < lambda_d <=
+    # -mu/2 + log(2)/dt; exp(-mu*dt/2) underflows at mu 1e5, so the sum must be solved in
+    # the log
+    config = SimConfig(rate=REFERENCE, mu=mu, f=0.3, t_end=5.0, mu_q=0.0)
+    lam = scheme_growth_rate(config)
+    assert -mu < lam <= -mu / 2 + math.log(2.0) / config.dt
+    assert np.isfinite(simulate(config).N).all()
+
+
+def test_cells_short_of_the_divergence_range_are_a_grid_too_small_error():
+    # gamma2 (m 17) on cells up to 20 h: most cells have not divided by a_max
+    config = SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=10.0, a_max=20.0)
+    for run in (simulate, scheme_growth_rate):
+        with pytest.raises(GridTooSmallError, match="divergence range.*increase a_max"):
+            run(config)
 
 
 def test_births_are_zero_at_the_shift_loops_steps():
@@ -636,12 +687,11 @@ def test_cell_setup_reads_the_hazard_once_and_the_rate_never(run, a_max):
     n_cells = build_grid(ClosedFormRate(FIT_ERFC_MU), 0.05, a_max).size - 1
     rate = _CountingRate(FIT_ERFC_MU)
     run(SimConfig(rate=rate, mu=FIT_ERFC_MU.mu, f=0.6, t_end=20.0, dt=0.05, a_max=a_max))
-    # the grid's own extension may read the rate at one age; no cell array reaches it
+    # the grid's own extension may read the rate and the hazard at one age at a time
     assert all(shape == () for shape in rate.rate_shapes)
-    # one hazard call on the J + 1 lattice points (j + 1/2)*dt, and no other cell array
-    assert rate.hazard_shapes.count((n_cells + 1,)) == 1
-    assert (n_cells,) not in rate.hazard_shapes
-    assert (2 * n_cells,) not in rate.hazard_shapes
+    # one array call to the hazard, on the J + 1 lattice points (j + 1/2)*dt: the
+    # equilibrium start takes its growth rate from the cells, with no renewal table
+    assert [shape for shape in rate.hazard_shapes if shape] == [(n_cells + 1,)]
     lattice = rate.hazard_ages[rate.hazard_shapes.index((n_cells + 1,))]
     np.testing.assert_array_equal(lattice, (np.arange(n_cells + 1) + 0.5) * 0.05)
 
@@ -708,8 +758,6 @@ class BareRate:
 
 SIZED_BY_A_RATE = {
     "simulate": lambda: simulate(SimConfig(rate=BareRate(), mu=0.0, f=0.0, t_end=10.0)),
-    "simulate-a_max": lambda: simulate(SimConfig(rate=BareRate(), mu=0.0, f=0.0, t_end=10.0,
-                                                 a_max=215.0)),
     "solve_lambda": lambda: solve_lambda(BareRate(), 0.0),
     "imt_experiment": lambda: imt_experiment(BareRate(), 0.0, 5.0, 60.0),
 }
@@ -717,7 +765,8 @@ SIZED_BY_A_RATE = {
 
 @pytest.mark.parametrize("call", SIZED_BY_A_RATE.values(), ids=SIZED_BY_A_RATE)
 def test_a_rate_the_grid_cannot_be_sized_for_is_rejected(call):
-    # the equilibrium start and the cohort solve lambda on a grid the rate must size
+    # without a_max the cells need the rate to size them; the cohort solves lambda on a
+    # grid the rate must size
     with pytest.raises(ValidationError, match=r"\.model or tabulated \.ages"):
         call()
 
@@ -727,6 +776,15 @@ def test_a_rate_without_model_or_ages_runs_from_a_custom_start_with_a_max():
     runs = [simulate(SimConfig(rate=rate, mu=0.0, f=0.5, t_end=10.0, a_max=215.0, initial=start))
             for rate in (BareRate(), ClosedFormRate(GAMMA2))]
     np.testing.assert_array_equal(runs[0].N, runs[1].N)
+
+
+def test_a_rate_without_model_or_ages_runs_from_equilibrium_with_a_max():
+    # the equilibrium start reads the cells alone, so an a_max is all the rate needs
+    runs = [simulate(SimConfig(rate=rate, mu=0.01, f=0.5, t_end=10.0, a_max=215.0))
+            for rate in (BareRate(), ClosedFormRate(GAMMA2))]
+    for field in ("P", "Q", "N", "births"):
+        np.testing.assert_array_equal(getattr(runs[0], field), getattr(runs[1], field))
+    np.testing.assert_array_equal(runs[0].final_profile.values, runs[1].final_profile.values)
 
 
 # --- labeled-cohort observation window ------------------------------------
@@ -812,7 +870,11 @@ def stepped_cohort(rate, mu, t0, big_t, dt):
     """(I_T, gap) of imt_experiment by stepping the labeled cohort big_t / dt times."""
     cells = _CellGrid(rate, mu, dt, big_t + t0 + 2.0 * dt)
     beta = rate(cells.centers)
-    m = _equilibrium_masses(rate, mu, cells, t0)
+    if t0 < dt / 2:  # no cell centre <= t0: a unit mass in the first cell
+        m = np.zeros_like(cells.centers)
+        m[0] = 1.0
+    else:
+        m = _equilibrium_masses(cells, mu, solve_lambda(rate, mu), t0)
     acc = np.zeros_like(m)
     for _ in range(int(round(big_t / dt))):
         acc += beta * m * dt

@@ -3,11 +3,14 @@
 The objective is the unweighted sum of squared differences between the model
 curve `reweighted_density(model, lam, a_i)` and the bin heights at the bin
 midpoints.  The landscape is mildly nonconvex (the minimum age and width
-trade off against the rate plateau), so one optimizer runs from each of a
-set of seeded starts and the lowest-cost answer wins: `_least_squares`, a
-projected trust-region Levenberg-Marquardt method in numpy, given each
-family's analytic Jacobian by `imt_models`.  Runs are deterministic given
-the seed, which defaults to the MITOCLOCK_SEED environment variable, then 0.
+trade off against the rate plateau), so one optimizer runs from a set of
+seeded starts in turn, until two of them agree on the lowest cost found, and
+the lowest-cost answer wins: `_least_squares`, a projected trust-region
+Levenberg-Marquardt method in numpy, given each family's analytic Jacobian by
+`imt_models`.  A family whose rate is 0 up to m has a kink in its cost
+wherever m crosses a bin midpoint, so its best answer is solved again from
+the smooth pieces on either side.  Runs are deterministic given the seed,
+which defaults to the MITOCLOCK_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .histogram import Histogram, Kind
 from .imt_models import (
     FAMILIES,
     PARAMS,
+    _ZERO_BELOW_M,
     Model,
     _density_and_jacobian,
     reweighted_density,
@@ -41,7 +45,7 @@ from .imt_models import (
 from .io import r_squared
 
 SEED_ENV_VAR = "MITOCLOCK_SEED"
-N_STARTS = 8  # least-squares starts per fit: the default guess and seeded jitters of it
+N_STARTS = 8  # most least-squares starts per fit: the default guess and seeded jitters of it
 MASS_TOLERANCE = 0.12  # largest |fitted mass - 1| mass_check passes
 
 # bounds keep every candidate evaluable
@@ -52,9 +56,9 @@ _LOWER = {"beta0": 1e-6, "m": 0.0, "sigma": 1e-3, "mu": 0.0}
 class FitResult:
     """Fitted model with goodness-of-fit and the unit-mass diagnostic.
 
-    `n_evaluations` counts the residual-and-Jacobian evaluations over all
-    starts, one per trial point; `fit_imt`'s `max_iter` caps those of each
-    start.
+    `n_evaluations` counts the residual-and-Jacobian evaluations, one per
+    trial point, of every least-squares solve that ran: the starts and any
+    re-solves across a kink; `fit_imt`'s `max_iter` caps those of each solve.
     """
 
     model: Model
@@ -211,6 +215,15 @@ def _spread_starts(x0: np.ndarray, names, rng) -> list[np.ndarray]:
     return starts
 
 
+def _ssr(fit: _Solution) -> float:
+    return float(fit.residuals @ fit.residuals)
+
+
+def _pinned(names, x, lower) -> list[str]:
+    """The names of the parameters of x at their lower bound."""
+    return [name for name, value, lo in zip(names, x, lower) if value <= lo + 1e-8 * (1.0 + lo)]
+
+
 def _seed(seed) -> int:
     """seed, or else MITOCLOCK_SEED, or else 0, as an int; ValidationError naming its source
     unless it is a nonnegative integer."""
@@ -233,13 +246,18 @@ def fit_imt(
     """Fit a reweighted histogram with the chosen family's reweighted density.
 
     Runs bounded least squares from `init` (or a default guess from the
-    histogram's moments) and `N_STARTS - 1` seeded jitters of it, and returns
-    the lowest-cost answer.  `max_iter` caps the residual-and-Jacobian
-    evaluations of each start; a start that reaches it has not converged.
-    The seed, or MITOCLOCK_SEED without one, must be a nonnegative integer.
-    Raises FitConvergenceError (carrying the best result found) if no start
-    converges, and emits a BoundaryWarning when a fitted parameter is pinned
-    at a bound.
+    histogram's moments), then from seeded jitters of it in turn, and stops
+    once two starts agree on the lowest cost found so far, to within
+    1e-10 * |heights|^2, or after `N_STARTS` starts.  Only a start that
+    converged with no parameter pinned at a bound counts toward agreement.
+    For a family whose rate is 0 up to m, two more solves start from the best
+    answer with m moved just below the bin midpoint below it and just above
+    the midpoint above it.  Returns the lowest-cost answer of all solves.
+    `max_iter` caps the residual-and-Jacobian evaluations of each solve; a
+    solve that reaches it has not converged.  The seed, or MITOCLOCK_SEED
+    without one, must be a nonnegative integer.  Raises FitConvergenceError
+    (carrying the best result found) if no solve converges, and emits a
+    BoundaryWarning when a fitted parameter is pinned at a bound.
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -264,9 +282,28 @@ def fit_imt(
     x0 = np.maximum(x0, lower)
 
     rng = np.random.default_rng(seed)
-    fits = [_least_squares(residual_and_jacobian, theta0, lower, max_iter, 1e-15)
-            for theta0 in _spread_starts(x0, names, rng)]
-    best = min(fits, key=lambda fit: float(fit.residuals @ fit.residuals))
+    agree_tol = 1e-10 * float(heights @ heights)
+    fits, settled = [], []  # settled: the SSRs of converged starts with no parameter pinned
+    for theta0 in _spread_starts(x0, names, rng):
+        fit = _least_squares(residual_and_jacobian, theta0, lower, max_iter, 1e-15)
+        fits.append(fit)
+        if fit.converged and not _pinned(names, fit.x, lower):
+            settled.append(_ssr(fit))
+        lowest = min(map(_ssr, fits))
+        if sum(ssr <= lowest + agree_tol for ssr in settled) >= 2:
+            break
+    if family in _ZERO_BELOW_M:
+        # re-solve in the smooth pieces on either side of the best one: from m just below
+        # the midpoint below it and just above the midpoint above it, where there is one
+        best = min(fits, key=_ssr)
+        k = names.index("m")
+        j = int(np.searchsorted(mids, best.x[k], side="right"))
+        shift = 1e-6 * h.bin_width
+        for m in np.concatenate((mids[:j][-1:] - shift, mids[j:][:1] + shift)):
+            theta0 = best.x.copy()
+            theta0[k] = m
+            fits.append(_least_squares(residual_and_jacobian, theta0, lower, max_iter, 1e-15))
+    best = min(fits, key=_ssr)
 
     model = _model_from_theta(family, best.x)
     residuals = heights - reweighted_density(model, lam, mids)
@@ -281,13 +318,9 @@ def fit_imt(
     )
     if not any(fit.converged for fit in fits):
         raise FitConvergenceError(
-            f"no least-squares start converged within {max_iter} evaluations", best=result
+            f"no least-squares solve converged within {max_iter} evaluations", best=result
         )
-    pinned = [
-        name
-        for name, value, lo in zip(names, best.x, lower)
-        if value <= lo + 1e-8 * (1.0 + lo)
-    ]
+    pinned = _pinned(names, best.x, lower)
     if pinned:
         warnings.warn(
             f"fitted parameters pinned at their lower bound: {', '.join(pinned)}",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .io import check_table, r_squared, read_columns
 
 
@@ -40,14 +40,19 @@ def fit_growth(series: GrowthSeries) -> GrowthFit:
     """Ordinary least squares of ln(N(t)/N(0)) against t.
 
     The slope is the Malthusian parameter; the doubling time ln2/lam is
-    reported when the slope is positive.
+    reported when the slope is positive.  Raises DegenerateInputError if the
+    times are too close together for the slope to be a finite number.
     """
     t = series.times
-    y = np.log(series.counts / series.counts[0])
+    y = np.log(series.counts) - math.log(series.counts[0])
     t_mean = t.mean()
     y_mean = y.mean()
     dt = t - t_mean
-    lam = float(np.dot(dt, y - y_mean) / np.dot(dt, dt))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = float(np.dot(dt, y - y_mean) / np.dot(dt, dt))
+    if not math.isfinite(lam):
+        raise DegenerateInputError(f"the times {t[0]:g} .. {t[-1]:g} are too close together "
+                                   "for a finite growth rate")
     intercept = float(y_mean - lam * t_mean)
     doubling = math.log(2.0) / lam if lam > 0 else None
     fit_r2 = r_squared(y, y - (intercept + lam * t))

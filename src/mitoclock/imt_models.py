@@ -196,6 +196,9 @@ def _erfc(a, beta0, m, sigma, partials=False):
 # followed with partials=True by their partials in the rate parameters' order, one row
 # each; emg has no closed form
 _CLOSED_FORMS = {"gamma1": _gamma1, "gamma2": _gamma2, "erfc": _erfc, "erfc-mu": _erfc}
+# the families whose rate is 0 up to m: a histogram's squared error is smooth in m only
+# between bin midpoints, with a kink wherever m crosses one
+_ZERO_BELOW_M = frozenset(("gamma1", "gamma2"))
 
 
 def _closed_form(model: Model):

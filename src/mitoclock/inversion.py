@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationWarning, ValidationError
+from .errors import FitConvergenceError, TruncationWarning, ValidationError
 from .fitter import _least_squares
 from .imt_models import Model, TabulatedRate, _erfc
 from .io import check_number, check_table, r_squared, read_columns, write_columns
@@ -120,7 +120,11 @@ def erfc_distance(rate: TabulatedRate, beta0: float, m: float, sigma: float) -> 
 
 
 def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
-    """Least-squares erfc-shaped rate closest to a tabulated one."""
+    """Least-squares erfc-shaped rate closest to a tabulated one.
+
+    Raises FitConvergenceError, carrying (model, comparison) of the last iterate, if the
+    solver does not converge.
+    """
     ages, values = rate.ages, rate.values
     top = values.max()
     if top <= 0:
@@ -139,7 +143,13 @@ def best_erfc_fit(rate: TabulatedRate) -> tuple[Model, ErfcComparison]:
                           np.array([1e-9, 0.0, 1e-6]), max_nfev=300, tol=1e-8)
     b0, m, s = (float(v) for v in best.x)
     model = Model(family="erfc", beta0=b0, m=m, sigma=s)
-    return model, erfc_distance(rate, b0, m, s)
+    comparison = erfc_distance(rate, b0, m, s)
+    if not best.converged:
+        raise FitConvergenceError(
+            f"the closest erfc rate did not converge within {best.n_evaluations} evaluations",
+            best=(model, comparison),
+        )
+    return model, comparison
 
 
 def write_rate_csv(rate: TabulatedRate, path) -> None:

@@ -70,6 +70,64 @@ def test_noisy_fit_is_at_least_as_good_as_the_truth(model, noise_seed):
     assert result.n_evaluations > 0
 
 
+# a noisy gamma1 draw (5 % noise) whose every seeded start ends with m just above the
+# bin midpoint 19.375, at a worse minimum than the one with m just below it
+KINK_TRUTH = mc.Model(family="gamma1", m=19.34184918763155, sigma=2.9664404956386425)
+KINK_HEIGHTS = [
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.005245743711815019,
+    0.11945315147114767, 0.15869106034977512, 0.13916155115518977, 0.12976180004346138,
+    0.09990455711355027, 0.07684195368105408, 0.0561470637324924, 0.04015880300129871,
+    0.027317651707172753, 0.022021866883921708, 0.015297997743793047, 0.00995146031299858,
+    0.006886772776642309, 0.004958854849939848, 0.0032686850374470167, 0.0022549912466709177,
+    0.0014748299916148022, 0.0010544453937046594, 0.0006286343520851253,
+    0.00048601394833577605, 0.00030776833252647216, 0.000195449645533597,
+    0.00013991397965349702, 9.095182199171247e-05, 6.178764327998165e-05,
+    4.153306910479695e-05, 2.7746905948693876e-05, 1.695515029853804e-05,
+    1.1676358115097973e-05, 7.262815542978709e-06, 5.50207827597787e-06, 3.564033747231416e-06,
+    2.095908695646985e-06, 1.5315362469970995e-06, 9.200903608004756e-07,
+    6.047601832120609e-07, 4.051013586306567e-07, 2.5966653903333936e-07,
+    1.8066554206037364e-07, 1.1932202013978893e-07, 7.855166064073296e-08,
+    4.7120216304118336e-08, 3.474412598190081e-08, 2.245917869646815e-08,
+    1.3628185568656816e-08, 8.264895906081665e-09, 6.243084102546235e-09,
+    3.5597202877745918e-09,
+]
+
+
+def test_gamma_fit_crosses_the_kink_at_a_bin_midpoint():
+    h = Histogram(bin_width=BIN_WIDTH, heights=np.array(KINK_HEIGHTS), kind=Kind.REWEIGHTED,
+                  lambda_used=LAM)
+    truth_residuals = h.heights - np.asarray(reweighted_density(KINK_TRUTH, LAM, MIDPOINTS))
+    result = fit_imt(h, "gamma1", seed=1)
+    ssr = float(np.dot(result.residuals, result.residuals))
+    assert ssr <= float(np.dot(truth_residuals, truth_residuals))
+    assert result.model.m < 19.375
+
+
+def test_a_start_pinned_at_a_bound_does_not_count_toward_agreement():
+    # two of the seeded starts share a spurious minimum with sigma on its bound 1e-3; if
+    # they counted as agreeing, the fit would stop there
+    truth = mc.Model(family="emg", beta0=0.250317, m=20.997859, sigma=2.174145)
+    result = fit_imt(synthetic_histogram(truth), "emg", seed=1)
+    for name in ("beta0", "m", "sigma"):
+        assert getattr(result.model, name) == pytest.approx(getattr(truth, name), rel=0.01)
+
+
+@pytest.mark.parametrize("model", TRUTHS, ids=lambda m: m.family)
+def test_a_clean_fit_stops_before_running_every_start(monkeypatch, model):
+    solves = []
+    solve = mc.fitter._least_squares
+
+    def recorded(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(mc.fitter, "_least_squares", recorded)
+    result = fit_imt(synthetic_histogram(model), model.family, seed=0)
+    assert len(solves) < mc.fitter.N_STARTS
+    # n_evaluations counts every solve, the re-solves across a gamma kink included
+    assert result.n_evaluations == sum(fit.n_evaluations for fit in solves)
+
+
 def test_round_trip_with_death_recovers_within_one_percent():
     model = mc.Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
     result = fit_imt(synthetic_histogram(model), "erfc-mu", seed=3)
@@ -140,11 +198,12 @@ def test_death_family_mass_is_closer_to_one_on_shipped_data(data_dir):
 def test_deterministic_given_seed():
     assert [model.family for model in TRUTHS] == list(mc.FAMILIES)
     for model in TRUTHS:
-        h = synthetic_histogram(model, noise=0.05, seed=5)
-        a = fit_imt(h, model.family, seed=7)
-        b = fit_imt(h, model.family, seed=7)
-        assert a.model == b.model
-        assert a.n_evaluations == b.n_evaluations > 0
+        for noise in (None, 0.05):
+            h = synthetic_histogram(model, noise=noise, seed=5)
+            a = fit_imt(h, model.family, seed=7)
+            b = fit_imt(h, model.family, seed=7)
+            assert a.model == b.model
+            assert a.n_evaluations == b.n_evaluations > 0
 
 
 def test_seed_env_variable(monkeypatch):
@@ -204,7 +263,8 @@ def test_nonconvergence_carries_best_result():
         fit_imt(h, "erfc", seed=0, max_iter=2)
     assert excinfo.value.best is not None
     assert excinfo.value.best.model.family == "erfc"
-    # max_iter caps each start's residual-and-Jacobian evaluations
+    # max_iter caps each start's residual-and-Jacobian evaluations; no start converges,
+    # so every start runs
     assert excinfo.value.best.n_evaluations == 2 * mc.fitter.N_STARTS
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mitoclock import (
+    DegenerateInputError,
     GrowthSeries,
     ParseError,
     ValidationError,
@@ -71,6 +72,21 @@ def test_multiplicative_noise_recovery():
     counts = 500.0 * np.exp(lam0 * t) * (1.0 + 0.01 * rng.standard_normal(t.size))
     fit = fit_growth(GrowthSeries(t, counts))
     assert abs(fit.lam - lam0) < 0.002
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_counts_spanning_the_float_range_give_a_finite_rate():
+    # counts / counts[0] would overflow; the difference of their logs does not
+    fit = fit_growth(GrowthSeries(np.array([0.0, 1.0, 2.0]), np.array([1e-300, 1e300, 1.0])))
+    assert fit.lam == pytest.approx(math.log(1e300) / 2.0, rel=1e-12)
+    assert all(map(math.isfinite, (fit.lam, fit.intercept, fit.r_squared, fit.doubling_time)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_times_too_close_for_a_finite_slope_are_rejected():
+    series = GrowthSeries(np.array([0.0, 1e-300, 2e-300]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DegenerateInputError, match="too close together"):
+        fit_growth(series)
 
 
 def test_validation_errors():

@@ -203,3 +203,21 @@ def test_best_erfc_fit_recovers_exact_parameters():
     assert model.m == pytest.approx(24.0, rel=1e-6)
     assert model.sigma == pytest.approx(3.2, rel=1e-6)
     assert comparison.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def test_best_erfc_fit_that_does_not_converge_raises(monkeypatch):
+    from mitoclock import ErfcComparison, FitConvergenceError, TabulatedRate, inversion
+
+    solve = inversion._least_squares
+
+    def two_evaluations(residual_and_jacobian, x0, lower, max_nfev, tol):
+        return solve(residual_and_jacobian, x0, lower, 2, tol)
+
+    monkeypatch.setattr(inversion, "_least_squares", two_evaluations)
+    ages = np.linspace(0.0, 60.0, 500)
+    rate = TabulatedRate(ages, 0.15 * special.erfc((24.0 - ages) / 3.2))
+    with pytest.raises(FitConvergenceError, match="did not converge") as excinfo:
+        best_erfc_fit(rate)
+    model, comparison = excinfo.value.best
+    assert model.family == "erfc"
+    assert isinstance(comparison, ErfcComparison)

@@ -59,3 +59,9 @@ done
 # heavy death: the scheme's growth rate must not outrun lambda
 printf '%s\n' '{"family": "erfc-mu", "beta0": 0.17879, "m": 25.007, "sigma": 3.6141, "mu": 0.5}' > heavy_death.json
 run verify heavy_death.json --suite gre
+# large death: the renewal root is taken in k = mu + lambda, so lambda = k - mu is finite
+printf '%s\n' '{"family": "erfc-mu", "beta0": 0.17879, "m": 25.007, "sigma": 3.6141, "mu": 1000}' > large_death.json
+run verify large_death.json --suite eigen
+# a slow plateau after a narrow rise: the windows follow the model's own survival
+printf '%s\n' '{"family": "erfc", "beta0": 0.05, "m": 10, "sigma": 0.1}' > slow_plateau.json
+run verify slow_plateau.json --suite imt-convergence

@@ -15,6 +15,7 @@ from . import simulator, spectral
 from .imt_models import ClosedFormRate
 
 GAP_FLOOR = 1e-12  # imt-convergence: L1 gaps at or below this are rounding noise
+WINDOW_SURVIVALS = (1e-2, 1e-4, 1e-6)  # imt-convergence: survival at each window's end
 
 
 class Check(NamedTuple):
@@ -26,9 +27,18 @@ class Check(NamedTuple):
 
 
 def imt_windows(model) -> tuple[float, list[float]]:
-    """Cohort start t0 and the observation windows of the imt-convergence suite."""
+    """Cohort start t0 and the observation windows of the imt-convergence suite.
+
+    t0 = max(m - 4 sigma, 0).  The windows are t0 + a_q, where a_q is the age at which
+    division survival exp(-H) falls to q = WINDOW_SURVIVALS, read by interpolation on the
+    hazard over spectral.build_grid(rate): each model is judged on its own time scale,
+    not on sigma's, which a slow plateau after a narrow rise outlasts by far.
+    """
     t0 = max(model.m - 4.0 * model.sigma, 0.0)
-    return t0, [t0 + model.m + k * model.sigma for k in (5.0, 10.0, 15.0)]
+    rate = ClosedFormRate(model)
+    grid = spectral.build_grid(rate)
+    ages = np.interp(-np.log(WINDOW_SURVIVALS), rate.hazard(grid), grid)
+    return t0, [t0 + a for a in ages.tolist()]
 
 
 def _verify_eigen(model):

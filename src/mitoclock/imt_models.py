@@ -321,10 +321,17 @@ def reweighted_density(model: Model, lam: float, a):
     For emg this is 2*I(a)*exp(-lam*a).  Every other family uses the
     normalization-free form 2*rate(a)*exp(-hazard(a) - (mu+lam)*a), which
     equals 2*I(a)*exp(-lam*a) without death and integrates to 1 exactly when
-    (rate, mu, lam) solve the growth eigenproblem.
+    (rate, mu, lam) solve the growth eigenproblem.  A lam so negative that the
+    density overflows (or turns 0 * inf into nan) is a ValidationError.
     """
     lam = check_number(lam, "growth rate lambda")
-    return 2.0 * _decayed_density(model, check_ages(a), model.death_rate + lam)
+    ages = check_ages(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = 2.0 * _decayed_density(model, ages, model.death_rate + lam)
+    if not np.isfinite(density).all():
+        raise ValidationError(f"reweighted density is not finite at lambda = {lam:g}: "
+                              "exp(-(mu + lambda)*a) overflows on these ages")
+    return density
 
 
 def reweighted_mass(model: Model, lam: float) -> float:

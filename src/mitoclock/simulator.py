@@ -174,14 +174,14 @@ class _CellGrid:
         self.div_frac = removed * div_share  # mass fraction dividing per step
 
 
-def _equilibrium_masses(cells: _CellGrid, mu: float, lam: float, t0: float | None = None):
-    """Unit-total cell masses proportional to exp(-(H(c_j) + (mu + lam)*c_j)), cut to c_j <= t0.
+def _equilibrium_masses(cells: _CellGrid, k: float, t0: float | None = None):
+    """Unit-total cell masses proportional to exp(-(H(c_j) + k*c_j)), cut to c_j <= t0.
 
-    They are taken relative to the first cell, whose weight is 1, so none of mu >= 0,
-    lam >= -mu or a steep hazard can underflow them all.
+    k = mu + lambda is the renewal root.  The masses are taken relative to the first cell,
+    whose weight is 1, so neither k >= 0 nor a steep hazard can underflow them all.
     """
     ages = cells.centers - cells.centers[0]
-    weights = np.exp(cells.hazard[0] - cells.hazard - (mu + lam) * ages)
+    weights = np.exp(cells.hazard[0] - cells.hazard - k * ages)
     if t0 is not None:
         weights = np.where(cells.centers <= t0, weights, 0.0)
     return weights / weights.sum()
@@ -398,7 +398,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     snap_steps = [int(round(t / dt)) for t in snap_times]
     cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
     if config.initial is None:  # the scheme's own stable age distribution
-        m0 = _equilibrium_masses(cells, config.mu, _growth_rate(cells, config.mu))
+        m0 = _equilibrium_masses(cells, _growth_rate(cells, config.mu))
     else:
         m0 = _start_masses(config.initial, cells)
     f = config.f
@@ -443,31 +443,32 @@ def scheme_growth_rate(config: SimConfig) -> float:
     Where the grid reaches the rate's divergence range, lambda_d approaches solve_lambda's
     lambda as O(dt^2).  f and the start do not enter.  Solved by `_growth_rate`.
     """
-    return _growth_rate(_CellGrid(config.rate, config.mu, config.dt, config.a_max), config.mu)
+    mu = config.mu
+    return _growth_rate(_CellGrid(config.rate, mu, config.dt, config.a_max), mu) - mu
 
 
 def _growth_rate(cells: _CellGrid, mu: float) -> float:
-    """Root of 2 exp(-mu*dt/2) sum_j K_j exp(-lambda*dt*(j+1)) = 1, K the kernel `_renewal` uses.
+    """k_d = mu + lambda_d, where 2 exp(-mu*dt/2) sum_j K_j exp(-lambda_d*dt*(j+1)) = 1.
 
-    With death taken out, as in `spectral`, K_j = Kt_j exp(-mu*dt*j), Kt_j = div_frac_j *
-    exp(H(c_0) - H(c_j)), and spectral.falsi_root finds the root of the log of the left side,
-    log 2 + mu*dt/2 + log sum_j Kt_j exp(-(mu + lambda)*dt*(j+1)): a log-sum-exp, which no mu
-    overflows or underflows.  Raises GridTooSmallError if it is <= 0 at lambda = -mu.
+    With death taken out of `_renewal`'s kernel K, K_j = Kt_j exp(-mu*dt*j), Kt_j = div_frac_j *
+    exp(H(c_0) - H(c_j)), and spectral.falsi_root finds the root in k of the log of the left
+    side, log 2 + mu*dt/2 + log sum_j Kt_j exp(-k*dt*(j+1)), which no mu over- or underflows.
+    div_frac carries death, so k_d rises as ~mu/2.  GridTooSmallError if it is <= 0 at k = 0.
     """
     live = cells.div_frac > 0
     log_kernel = np.log(cells.div_frac[live]) + cells.hazard[0] - cells.hazard[live]
     lags = cells.dt * (np.flatnonzero(live) + 1)
     shift = math.log(2.0) + mu * cells.dt / 2.0
 
-    def g(lam):
-        x = log_kernel - (mu + lam) * lags
+    def g(k):
+        x = log_kernel - k * lags
         top = x.max()
         return top + math.log(float(np.exp(x - top).sum())) + shift
 
-    if not live.any() or g(-mu) <= 0.0:
+    if not live.any() or g(0.0) <= 0.0:
         raise GridTooSmallError(f"the age cells end at a_max = {cells.a_max:g}, before the "
                                 "rate's divergence range; increase a_max or check the rate")
-    return spectral.falsi_root(g, -mu)
+    return spectral.falsi_root(g, mu)
 
 
 def quiescent_fraction(config: SimConfig, t0: float) -> float:
@@ -495,11 +496,11 @@ def _labelled_fraction(out: SimOutput, dt: float, t0: float) -> float:
 def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     """Finite-window IMT density of a labeled cohort, and its L1 gap to the ideal.
 
-    The cohort starts from the equilibrium masses m0 of solve_lambda's lambda (the
-    continuous experiment's; the short cells could not give one), cut at t0, and evolves by
-    pure transport and loss (daughters are not re-injected).  With the hazard part
-    Lh_j = H(c_0) - H(c_j) = -sum_{l<j} dh_l of a cell's log-survival, the division
-    observable beta * p summed over the K = big_t / dt steps is the convolution
+    The cohort starts from the equilibrium masses m0 of the continuous renewal root
+    k* = mu + lambda, which mu does not move (the short cells could not give one), cut at
+    t0, and evolves by pure transport and loss (daughters are not re-injected).  With the
+    hazard part Lh_j = H(c_0) - H(c_j) = -sum_{l<j} dh_l of a cell's log-survival, the
+    division observable beta * p summed over the K = big_t / dt steps is the convolution
 
         acc_j = dt * beta_j * exp(Lh_j) * sum_{k<K} m0_{j-k} exp(-Lh_{j-k}) exp(-mu*dt*k),
 
@@ -527,10 +528,10 @@ def imt_experiment(rate, mu: float, t0: float, big_t: float, dt: float = 0.025):
     beta = np.asarray(rate(cells.centers), dtype=float)
     if not np.isfinite(beta).all():
         raise ConfigurationError("division rate is not finite on the age cells")
-    # with no cell centre <= t0, a unit mass in the first cell, and no lambda to solve
+    # k* is solve_lambda's lambda at mu 0; no cell centre <= t0: a unit mass in the first cell
     first = cells.centers[0]
-    lam = spectral.solve_lambda(rate, mu) if t0 >= first else 0.0
-    m0 = _equilibrium_masses(cells, mu, lam, max(t0, first))
+    k = spectral.solve_lambda(rate, 0.0) if t0 >= first else 0.0
+    m0 = _equilibrium_masses(cells, k, max(t0, first))
 
     lh = cells.hazard[0] - cells.hazard
     # m0 > 0 only at ages <= t0, where -lh <= HAZARD_TOL; death stays a kernel of its

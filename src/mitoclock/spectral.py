@@ -1,11 +1,12 @@
 """Growth eigenproblem for the age-structured renewal dynamics.
 
 Given a division rate beta(a) with hazard H(a) = integral_0^a beta and a
-death rate mu, the asymptotic growth rate lam is the unique root of
+death rate mu, the asymptotic growth rate is lam = k* - mu, k* the root of
 
-    g(lam) = 2 * integral_0^inf beta(a) exp(-H(a) - k*a) da - 1,   k = mu + lam,
+    g(k) = 2 * integral_0^inf beta(a) exp(-H(a) - k*a) da - 1,   k = mu + lam,
 
-which is strictly decreasing in lam.  The associated equilibrium age profile
+which is strictly decreasing in k and does not depend on mu: death is
+subtracted once, at the end.  The associated equilibrium age profile
 and its adjoint weight are tabulated on a uniform grid and normalized so that
 integral(p_hat) = 1 and integral(p_hat * phi) = 1.
 
@@ -16,9 +17,7 @@ The renewal integral is taken by parts over the grid [0, A], with s = H + k*a,
 on NODES_PER_CELL Gauss-Legendre nodes per grid cell, reading the hazard alone:
 exp(-s) is one derivative smoother than beta * exp(-s).  The gamma rates have a
 kink at m, so the cell that holds a closed-form rate's m is split there into
-two panels.  Each cell's adjoint source uses the same identity.  lam enters
-only through k, so the mu-shift identity and the root residual close to
-root-finder tolerance, which the package relies on.
+two panels.  Each cell's adjoint source uses the same identity.
 """
 
 from __future__ import annotations
@@ -166,60 +165,59 @@ def check_cell_count(a_max: float, step: float) -> None:
 
 def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
                  grid: np.ndarray | None = None) -> float:
-    """Root of the renewal equation: the asymptotic growth rate.
+    """Root of the renewal equation: the asymptotic growth rate lam = k* - mu.
 
-    Requires a finite mu >= 0 and a divergent division rate (survival below
-    SURVIVAL_TOL at the top of the grid).
+    Requires a finite mu >= 0, a divergent division rate (survival below
+    SURVIVAL_TOL at the top of the grid) and lam <= LAMBDA_MAX.
     """
     if grid is None:
         grid = build_grid(rate, step)
-    return _root(_renewal_table(rate, grid), mu)
+    mu = check_number(mu, "death rate mu", 0)
+    return _root(_renewal_table(rate, grid), mu) - mu
 
 
 def _root(table: _RenewalTable, mu: float) -> float:
-    """solve_lambda on a table that equilibrium reuses for its adjoint sources."""
-    mu = check_number(mu, "death rate mu", 0)
+    """k* = mu + lam on a table that equilibrium reuses; mu sets only the bracket's cap."""
     if math.exp(-table.hazard_top) >= SURVIVAL_TOL:
         raise ConfigurationError(
             f"division survival at the grid end ({math.exp(-table.hazard_top):.2e}) "
             f"exceeds {SURVIVAL_TOL:g}; extend the grid or check the rate"
         )
 
-    def g(lam):
-        value = _renewal_value(table, mu + lam) - 1.0
+    def g(k):
+        value = _renewal_value(table, k) - 1.0
         if not math.isfinite(value):
-            raise ConfigurationError(f"renewal function is {value} at lambda = {lam}")
+            raise ConfigurationError(f"renewal function is {value} at k = mu + lambda = {k}")
         return value
 
-    return falsi_root(g, -mu)  # g(-mu) = 1 - 2*survival > 0 by the divergence check
+    return falsi_root(g, mu)  # g(0) = 1 - 2*survival > 0 by the divergence check
 
 
-def falsi_root(g, lo: float) -> float:
-    """Root of a decreasing g with g(lo) > 0, bracketed by doubling up to LAMBDA_MAX.
+def falsi_root(g, mu: float) -> float:
+    """Root k* of a decreasing g(k), g(0) > 0, bracketed by doubling up to k = mu + LAMBDA_MAX.
 
-    Regula falsi with Anderson-Bjorck weighting (BIT 13, 1973) on [a, b] = [lo, hi], b the
+    Regula falsi with Anderson-Bjorck weighting (BIT 13, 1973) on [a, b] = [0, hi], b the
     newest point: when a new point lands on b's side, g_a is scaled down so that end moves
     too.  It stops once |b - a| <= 1e-14 + 8.9e-16*|b|, brentq's rule at xtol = 1e-14.
     """
-    hi = max(0.5, lo + 0.5)
+    hi, cap = 0.5, mu + LAMBDA_MAX
     while (g_hi := g(hi)) > 0.0:
-        hi = 2.0 * hi + 1.0
-        if hi > LAMBDA_MAX:
-            raise ConfigurationError(
-                f"no sign change up to lambda = {LAMBDA_MAX}; rate not divergent on grid"
-            )
-    a, g_a, b, g_b = lo, g(lo), hi, g_hi
+        if hi == cap:
+            raise ConfigurationError(f"growth rate exceeds LAMBDA_MAX = {LAMBDA_MAX}: "
+                                     f"renewal function > 0 at k = {cap:g}")
+        hi = min(2.0 * hi + 1.0, cap)
+    a, g_a, b, g_b = 0.0, g(0.0), hi, g_hi
     for _ in range(MAX_ROOT_STEPS):
-        lam = b - g_b * (b - a) / (g_b - g_a)
-        g_lam = g(lam)
-        if g_lam == 0.0:
-            return lam
-        if (g_lam > 0.0) == (g_b > 0.0):
-            scale = 1.0 - g_lam / g_b
+        k = b - g_b * (b - a) / (g_b - g_a)
+        g_k = g(k)
+        if g_k == 0.0:
+            return k
+        if (g_k > 0.0) == (g_b > 0.0):
+            scale = 1.0 - g_k / g_b
             g_a *= scale if scale > 0.0 else 0.5
         else:
             a, g_a = b, g_b
-        b, g_b = lam, g_lam
+        b, g_b = k, g_k
         if abs(b - a) <= 1e-14 + 8.9e-16 * abs(b):
             return b
     raise ConfigurationError(f"growth rate not bracketed to tolerance in {MAX_ROOT_STEPS} steps")
@@ -242,14 +240,15 @@ def equilibrium(rate, mu: float, step: float = DEFAULT_STEP,
     """
     if grid is None:
         grid = build_grid(rate, step)
+    mu = check_number(mu, "death rate mu", 0)
     table = _renewal_table(rate, grid)
-    lam = _root(table, mu)
-    s = np.asarray(rate.hazard(grid), dtype=float) + (mu + lam) * grid
+    k = _root(table, mu)
+    s = np.asarray(rate.hazard(grid), dtype=float) + k * grid
     u = np.exp(-s)
     p_hat = u / np.trapezoid(u, grid)
-    phi = _adjoint(s, _cell_sources(table, s, mu + lam))
+    phi = _adjoint(s, _cell_sources(table, s, k))
     phi /= np.trapezoid(phi * p_hat, grid)
-    return EigenPair(lam=lam, grid=grid, p_hat=p_hat, phi=phi)
+    return EigenPair(lam=k - mu, grid=grid, p_hat=p_hat, phi=phi)
 
 
 def _adjoint(s: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -29,6 +29,25 @@ def test_gap_trend_allows_ties_only_below_the_floor(monkeypatch, gaps, ok):
     assert decreasing.value == gaps
 
 
+def test_imt_windows_end_where_division_survival_falls():
+    # t0 + a_q, with exp(-H(a_q)) = q: each window's end is read off the model's own hazard
+    t0, windows = checks.imt_windows(MODEL)
+    assert t0 == MODEL.m - 4.0 * MODEL.sigma
+    survival = np.exp(-mc.cumulative_hazard(MODEL, np.array(windows) - t0))
+    np.testing.assert_allclose(survival, checks.WINDOW_SURVIVALS, rtol=1e-3)
+
+
+def test_imt_convergence_judges_a_slow_plateau_on_its_own_scale():
+    # erfc with a narrow rise (sigma 0.1) to a slow plateau (0.1/h): its division ages
+    # reach ~150 h, far past m + 15 sigma = 11.5 h
+    model = mc.Model(family="erfc", beta0=0.05, m=10.0, sigma=0.1)
+    _, windows = checks.imt_windows(model)
+    assert windows[-1] > 150.0
+    last, decreasing = checks.SUITES["imt-convergence"](model)
+    assert last.ok and decreasing.ok
+    assert decreasing.value[-1] < 1e-6
+
+
 def test_gre_passes_under_heavy_death():
     # the reference erfc-mu shape at mu = 0.5, mu*dt = 0.025: the scheme's growth rate
     # must match lambda to O(dt^2), or the weighted mass drifts by percents over 100 h

@@ -337,15 +337,12 @@ def test_verify_fraction_with_death_is_decided_by_the_closed_form(tmp_path, caps
 
 def test_verify_covers_a_slow_plateau_after_a_narrow_rise(tmp_path, capsys):
     # survival falls below tolerance only ~2800 sigma past m; the imt-convergence
-    # windows are on the sigma scale, so that suite fails honestly, without an error
+    # windows are set by the model's own survival, not on the sigma scale
     path = tmp_path / "narrow.json"
     path.write_text(json.dumps({"family": "erfc", "beta0": 0.05, "m": 10, "sigma": 0.1}))
-    for suite in ("eigen", "gre", "fraction"):
+    for suite in SUITES:
         assert main(["verify", str(path), "--suite", suite]) == 0, suite
     assert "FAIL" not in capsys.readouterr().out
-    assert main(["verify", str(path), "--suite", "imt-convergence"]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL") and "Error" not in out
 
 
 def test_verify_reports_failure_with_exit_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,15 @@ def test_reweighted_density_is_twice_the_discounted_density_without_death(model)
         np.testing.assert_allclose(
             np.asarray(reweighted_density(model, lam, ages)), expected, rtol=1e-13, atol=0
         )
+
+
+def test_reweighted_density_that_overflows_is_a_validation_error():
+    # exp(1000*a) overflows: 0 * inf below m would be nan, and inf above it
+    model = Model(family="gamma1", m=10.0, sigma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="lambda = -1000"):
+            reweighted_density(model, -1000.0, [1.0, 20.0, 1000.0])
 
 
 def test_reweighted_density_bypasses_normalization_for_death_family():

@@ -314,7 +314,7 @@ def shifted_run(config, snapshot_times=()):
     cells = _CellGrid(config.rate, config.mu, dt, a_max)
     init = config.initial
     if init is None:
-        m = _equilibrium_masses(cells, config.mu, _growth_rate(cells, config.mu))
+        m = _equilibrium_masses(cells, _growth_rate(cells, config.mu))
     else:
         inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
         m = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
@@ -453,6 +453,13 @@ def test_scheme_growth_rate_stays_in_its_bounds_at_any_death_rate(mu):
     lam = scheme_growth_rate(config)
     assert -mu < lam <= -mu / 2 + math.log(2.0) / config.dt
     assert np.isfinite(simulate(config).N).all()
+
+
+def test_scheme_growth_rate_up_to_lambda_max_is_reached():
+    # a constant 7/h: the bracket's last point is clamped to k = mu + LAMBDA_MAX
+    config = SimConfig(rate=TabulatedRate([0.0, 40.0 / 7.0], [7.0, 7.0]), mu=0.0, f=0.0,
+                       t_end=1.0, dt=0.01)
+    assert math.isfinite(scheme_growth_rate(config))
 
 
 def test_cells_short_of_the_divergence_range_are_a_grid_too_small_error():
@@ -874,7 +881,7 @@ def stepped_cohort(rate, mu, t0, big_t, dt):
         m = np.zeros_like(cells.centers)
         m[0] = 1.0
     else:
-        m = _equilibrium_masses(cells, mu, solve_lambda(rate, mu), t0)
+        m = _equilibrium_masses(cells, mu + solve_lambda(rate, mu), t0)
     acc = np.zeros_like(m)
     for _ in range(int(round(big_t / dt))):
         acc += beta * m * dt
@@ -917,12 +924,20 @@ def test_imt_experiment_matches_the_stepped_cohort(model, mu, start, widths, dt)
     assert abs(gap - stepped_gap) <= 1e-12
 
 
-def test_imt_experiment_gap_is_finite_under_steep_death():
+@pytest.mark.parametrize(
+    "model, mu, t0, big_t",
+    [(Model(family="gamma1", m=31.0, sigma=2.0), 40.0, 30.0, 60.0),
+     (Model(family="erfc", beta0=0.17879, m=25.007, sigma=3.6141), 1e3, 10.55, 50.55),
+     (Model(family="erfc", beta0=0.17879, m=25.007, sigma=3.6141), 1e4, 10.55, 50.55)],
+    ids=["gamma1-mu-40", "erfc-mu-1e3", "erfc-mu-1e4"],
+)
+def test_imt_experiment_gap_is_finite_under_steep_death(model, mu, t0, big_t):
     # beta * exp(-hazard - mu*a) underflows to 0 in every cell: the ideal density
-    # must still normalize, without an invalid-value warning
-    rate = ClosedFormRate(Model(family="gamma1", m=31.0, sigma=2.0))
+    # must still normalize, without an invalid-value warning; the cohort starts from
+    # the root in k = mu + lambda, which mu does not move
+    rate = ClosedFormRate(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        profile, gap = imt_experiment(rate, 40.0, 30.0, 60.0)
+        profile, gap = imt_experiment(rate, mu, t0, big_t)
     assert math.isfinite(gap) and 0.0 <= gap <= 2.0
     assert profile.values.sum() * 0.025 == pytest.approx(1.0, abs=1e-12)

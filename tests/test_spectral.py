@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +41,57 @@ def test_constant_rate_growth_equals_rate():
     for b0 in (0.1, 0.25, 0.5):
         lam = solve_lambda(constant_rate(b0), 0.0)
         assert lam == pytest.approx(b0, abs=1e-12)
+
+
+def test_growth_rate_up_to_lambda_max_is_reached():
+    # the bracket doubles 0.5 -> 2 -> 5; its next point is clamped to k = mu + LAMBDA_MAX
+    assert solve_lambda(constant_rate(7.0), 0.0) == pytest.approx(7.0, abs=1e-9)
+
+
+def test_growth_rate_past_lambda_max_names_the_bound():
+    # the rate diverges within a few hundredths of an hour; the diagnosis names the bound
+    rate = ClosedFormRate(Model(family="gamma2", m=0.0, sigma=1e-3))
+    with pytest.raises(ConfigurationError, match="growth rate.*LAMBDA_MAX"):
+        equilibrium(rate, 0.0)
+
+
+REFERENCE_SHAPE = dict(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141)
+
+
+@pytest.mark.parametrize("mu", [1e3, 1e4])
+def test_growth_rate_is_finite_under_large_death(mu):
+    rate = ClosedFormRate(Model(mu=mu, **REFERENCE_SHAPE))
+    k = solve_lambda(rate, 0.0)
+    lam = solve_lambda(rate, mu)
+    assert lam == k - mu
+    pair = equilibrium(rate, mu)
+    assert pair.lam == lam
+    assert np.isfinite(pair.p_hat).all() and np.isfinite(pair.phi).all()
+    assert abs(np.trapezoid(pair.p_hat, pair.grid) - 1.0) < 1e-8
+
+
+def test_growth_rate_at_the_largest_death_rate_is_minus_mu():
+    # k* ~ 0.02 is solved in [0, 0.5]; mu enters only the final subtraction
+    rate = ClosedFormRate(Model(mu=0.0, **REFERENCE_SHAPE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert solve_lambda(rate, 1e308) == -1e308
+
+
+@given(
+    family=st.sampled_from(["gamma1", "gamma2", "erfc"]),
+    m=st.floats(min_value=0.0, max_value=30.0),
+    sigma=st.floats(min_value=0.1, max_value=5.0),
+    beta0=st.floats(min_value=0.02, max_value=0.5),
+    mu=st.floats(min_value=0.0, max_value=1e308),
+)
+@settings(max_examples=30, deadline=None)
+def test_death_rate_shift_identity_is_exact(family, m, sigma, beta0, mu):
+    # the root is taken in k = mu + lambda, which does not depend on mu
+    params = {"m": m, "sigma": sigma, **({"beta0": beta0} if family == "erfc" else {})}
+    rate = ClosedFormRate(Model(family=family, **params))
+    grid = build_grid(rate, step=0.2)
+    assert solve_lambda(rate, mu, grid=grid) == solve_lambda(rate, 0.0, grid=grid) - mu
 
 
 def test_growth_rate_is_positive_without_death():

@@ -7,7 +7,9 @@ trade off against the rate plateau), so one optimizer runs from a set of
 seeded starts in turn, until two of them agree on the lowest cost found, and
 the lowest-cost answer wins: `_least_squares`, a projected trust-region
 Levenberg-Marquardt method in numpy, given each family's analytic Jacobian by
-`imt_models`.  A family whose rate is 0 up to m has a kink in its cost
+`imt_models`.  Each solve ends once an accepted step lowers the cost by less
+than COST_TOL = 1e-12 of it, rather than waiting for the trust region to
+shrink.  A family whose rate is 0 up to m has a kink in its cost
 wherever m crosses a bin midpoint, so its best answer is solved again from
 the smooth pieces on either side.  Runs are deterministic given the seed,
 which defaults to the MITOCLOCK_SEED environment variable, then 0.
@@ -47,6 +49,7 @@ from .io import r_squared
 SEED_ENV_VAR = "MITOCLOCK_SEED"
 N_STARTS = 8  # most least-squares starts per fit: the default guess and seeded jitters of it
 MASS_TOLERANCE = 0.12  # largest |fitted mass - 1| mass_check passes
+COST_TOL = 1e-12  # an accepted step that lowers the cost by less than this fraction ends a solve
 
 # bounds keep every candidate evaluable
 _LOWER = {"beta0": 1e-6, "m": 0.0, "sigma": 1e-3, "mu": 0.0}
@@ -107,14 +110,15 @@ def _model_from_theta(family: str, theta) -> Model:
     return Model(family=family, **dict(zip(PARAMS[family], map(float, theta))))
 
 
-def _trust_region_step(jac, grad, radius):
-    """Step q minimizing the linear model 1/2 |r + jac q|^2 with |q| <= radius, grad = jac.T r.
+def _trust_region_step(eig, grad, radius):
+    """Step q minimizing the linear model 1/2 |r + jac q|^2 with |q| <= radius, grad = jac.T r,
+    given eig = (w, v), the eigendecomposition of jac.T jac.
 
     q = -(jac.T jac + alpha I)^-1 grad.  alpha = 0 if jac.T jac is well conditioned and
     that step fits in the region; otherwise Newton steps on 1/|q(alpha)| = 1/radius, from
     a lower bound on the root, find |q| within 10 % of the radius (Moré 1978).
     """
-    w, v = np.linalg.eigh(jac.T @ jac)
+    w, v = eig
     c = grad @ v
     alpha = 0.0
     if w[0] <= 1e-15 * w[-1] or _norm(c / w) > radius:
@@ -150,8 +154,12 @@ def _least_squares(residual_and_jacobian, x0, lower, max_nfev: int, tol: float) 
     at its bound whose gradient points outward is held there, and every step is
     clipped to the bounds, so a pinned variable lands on its bound exactly
     (Kanzow, Yamashita & Fukushima 2004).  It converges when the free variables'
-    gradient is below tol, when a step with ratio > 0.25 lowers the cost by less
-    than tol times it, or when a step is shorter than tol * (tol + |x|).
+    gradient is below tol, when a step is shorter than tol * (tol + |x|), or when a
+    step with ratio > 0.25 lowers the cost by less than COST_TOL times it: past that
+    the cost has stopped moving, and a noisy fit would spend the rest of its
+    evaluations on shrinking the region (MINPACK's relative cost test, Moré 1978).
+    A rejected step leaves x where it was, so the eigendecomposition of the scaled
+    jac.T jac is reused until a step is accepted.
     """
     x = np.maximum(np.asarray(x0, dtype=float), lower)
     r, jac = residual_and_jacobian(x)
@@ -160,14 +168,17 @@ def _least_squares(residual_and_jacobian, x0, lower, max_nfev: int, tol: float) 
     scale = np.sqrt((jac * jac).sum(axis=0))
     scale[scale == 0.0] = 1.0
     radius = 0.1 * _norm(scale * x) or 0.1
+    eig = None  # of the scaled jac.T jac of the free variables, kept while x does not move
     while nfev < max_nfev:
         grad = r @ jac
         free = (x > lower) | (grad <= 0.0)
         if np.abs(np.where(free, grad, 0.0)).max() < tol:
             return _Solution(x, r, nfev, True)
+        if eig is None:
+            scaled = jac[:, free] / scale[free]
+            eig = np.linalg.eigh(scaled.T @ scaled)
         step = np.zeros_like(x)
-        step[free] = _trust_region_step(jac[:, free] / scale[free], grad[free] / scale[free],
-                                        radius) / scale[free]
+        step[free] = _trust_region_step(eig, grad[free] / scale[free], radius) / scale[free]
         x_new = np.maximum(x + step, lower)
         step = x_new - x
         r_new, jac_new = residual_and_jacobian(x_new)
@@ -181,11 +192,12 @@ def _least_squares(residual_and_jacobian, x0, lower, max_nfev: int, tol: float) 
             radius = 0.25 * _norm(scale * step)
         elif ratio > 0.75:
             radius = max(radius, 2.0 * _norm(scale * step))
-        converged = ((reduction < tol * cost and ratio > 0.25)
+        converged = ((reduction < COST_TOL * cost and ratio > 0.25)
                      or _norm(step) < tol * (tol + _norm(x)))
         if reduction > 0.0:
             x, r, jac, cost = x_new, r_new, jac_new, cost_new
             scale = np.maximum(scale, np.sqrt((jac * jac).sum(axis=0)))
+            eig = None
         if converged:
             return _Solution(x, r, nfev, True)
     return _Solution(x, r, nfev, False)

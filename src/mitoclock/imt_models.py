@@ -153,8 +153,8 @@ def _rate_params(model: Model) -> dict:
 def _gamma_partials(rate, rate_x, x, sigma):
     # a gamma hazard is a function of x/sigma and the rate its x-derivative, so both
     # (m, sigma) partials follow from the rate and rate_x = d rate/dx
-    d_rate = np.stack((-rate_x, -(rate + x * rate_x) / sigma))
-    d_hazard = np.stack((-rate, -(x / sigma) * rate))
+    d_rate = np.array((-rate_x, -(rate + x * rate_x) / sigma))
+    d_hazard = np.array((-rate, -(x / sigma) * rate))
     return d_rate, d_hazard
 
 
@@ -187,8 +187,8 @@ def _erfc(a, beta0, m, sigma, partials=False):
         return rate, hazard
     z0 = m / sigma
     gauss, gauss0 = np.exp(-z * z) / _SQRT_PI, math.exp(-z0 * z0) / _SQRT_PI
-    d_rate = np.stack((erfc_z, (-2.0 * beta0 / sigma) * gauss, (2.0 * beta0 / sigma) * gauss * z))
-    d_hazard = np.stack((integral, beta0 * (erfc(z0) - erfc_z), beta0 * (gauss - gauss0)))
+    d_rate = np.array((erfc_z, (-2.0 * beta0 / sigma) * gauss, (2.0 * beta0 / sigma) * gauss * z))
+    d_hazard = np.array((integral, beta0 * (erfc(z0) - erfc_z), beta0 * (gauss - gauss0)))
     return rate, hazard, d_rate, d_hazard
 
 
@@ -221,8 +221,9 @@ def division_rate(model: Model, a):
 
 
 def cumulative_hazard(model: Model, a):
-    """Integral of the division rate from 0 to a, in closed form."""
-    return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[1]
+    """Integral of the division rate from 0 to a, in closed form; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[1]
 
 
 def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: float,
@@ -248,7 +249,7 @@ def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: flo
     # the density times d(log erfc)/dz = -2*exp(-z^2)/(sqrt(pi)*erfc(z)) is -gauss below,
     # which divides by no erfc, so it stays finite where erfc underflows
     gauss = (2.0 * beta0 / _SQRT_PI) * np.exp(-((z - bs) ** 2) - decay * a)
-    return density, np.stack((out + 2.0 * sigma * (z - bs) * density,
+    return density, np.array((out + 2.0 * sigma * (z - bs) * density,
                               2.0 * beta0 * density - gauss / sigma,
                               gauss * z / sigma - 2.0 * beta0 * bs * density))
 
@@ -299,7 +300,7 @@ def _density_and_jacobian(family: str, theta, lam: float, a: np.ndarray):
     density = 2.0 * (rate * survival)
     columns = 2.0 * survival * (d_rate - rate * d_hazard)
     if "mu" in PARAMS[family]:
-        columns = np.vstack((columns, -a * density))
+        columns = np.concatenate((columns, [-a * density]))
     return density, columns.T
 
 
@@ -309,9 +310,12 @@ def imt_density(model: Model, a):
     emg is defined by its density.  Every other family is defined by its rate
     and hazard, I(a) = rate(a)*exp(-hazard(a) - mu*a) / norm, where norm is 1
     without death (the density then integrates to 1 exactly) and is computed
-    by `_mass` for a family with a death rate.
+    by `_mass` for a family with a death rate.  Where the hazard overflows, far past m,
+    the survival exp(-hazard) and with it the density are 0.
     """
-    density = _decayed_density(model, check_ages(a), model.death_rate)
+    ages = check_ages(a)
+    with np.errstate(over="ignore"):
+        density = _decayed_density(model, ages, model.death_rate)
     return density if model.mu is None else density / _mass(model, 0.0)
 
 

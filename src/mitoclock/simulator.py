@@ -465,10 +465,10 @@ def _growth_rate(cells: _CellGrid, mu: float) -> float:
         top = x.max()
         return top + math.log(float(np.exp(x - top).sum())) + shift
 
-    if not live.any() or g(0.0) <= 0.0:
+    if not live.any() or (g0 := g(0.0)) <= 0.0:
         raise GridTooSmallError(f"the age cells end at a_max = {cells.a_max:g}, before the "
                                 "rate's divergence range; increase a_max or check the rate")
-    return spectral.falsi_root(g, mu)
+    return spectral.falsi_root(g, g0, mu)
 
 
 def quiescent_fraction(config: SimConfig, t0: float) -> float:

@@ -190,11 +190,12 @@ def _root(table: _RenewalTable, mu: float) -> float:
             raise ConfigurationError(f"renewal function is {value} at k = mu + lambda = {k}")
         return value
 
-    return falsi_root(g, mu)  # g(0) = 1 - 2*survival > 0 by the divergence check
+    return falsi_root(g, g(0.0), mu)  # g(0) = 1 - 2*survival > 0 by the divergence check
 
 
-def falsi_root(g, mu: float) -> float:
-    """Root k* of a decreasing g(k), g(0) > 0, bracketed by doubling up to k = mu + LAMBDA_MAX.
+def falsi_root(g, g0: float, mu: float) -> float:
+    """Root k* of a decreasing g(k), given g0 = g(0) > 0, bracketed by doubling up to k = mu +
+    LAMBDA_MAX; g is never called at 0.
 
     Regula falsi with Anderson-Bjorck weighting (BIT 13, 1973) on [a, b] = [0, hi], b the
     newest point: when a new point lands on b's side, g_a is scaled down so that end moves
@@ -206,7 +207,7 @@ def falsi_root(g, mu: float) -> float:
             raise ConfigurationError(f"growth rate exceeds LAMBDA_MAX = {LAMBDA_MAX}: "
                                      f"renewal function > 0 at k = {cap:g}")
         hi = min(2.0 * hi + 1.0, cap)
-    a, g_a, b, g_b = 0.0, g(0.0), hi, g_hi
+    a, g_a, b, g_b = 0.0, g0, hi, g_hi
     for _ in range(MAX_ROOT_STEPS):
         k = b - g_b * (b - a) / (g_b - g_a)
         g_k = g(k)

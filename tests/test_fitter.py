@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mitoclock import (
     reweighted_density,
 )
 from mitoclock.fitter import _least_squares
+from mitoclock.imt_models import PARAMS
 
 LAM = 0.022
 BIN_WIDTH = 10.0 / 8.0
@@ -185,6 +188,54 @@ def test_bounded_least_squares_holds_an_outward_variable_on_its_bound():
     assert x[0] == 0.0
     assert x[1] == pytest.approx(1.5, rel=1e-14)
     np.testing.assert_allclose(r, a @ x - b, rtol=0, atol=1e-15)
+
+
+def test_solve_ends_once_an_accepted_step_barely_lowers_the_cost(monkeypatch):
+    # a decaying exponential fitted to data with a cosine in them: the cost has a floor > 0
+    t = np.linspace(0.0, 4.0, 30)
+    y = 2.0 * np.exp(-1.3 * t) + 0.05 * np.cos(7.0 * t)
+    costs = []
+
+    def residual_and_jacobian(x):
+        e = np.exp(-x[1] * t)
+        r = x[0] * e - y
+        costs.append(0.5 * float(r @ r))
+        return r, np.column_stack((e, -x[0] * t * e))
+
+    def solve():
+        costs.clear()
+        return _least_squares(residual_and_jacobian, np.array([1.0, 0.5]), np.zeros(2),
+                              max_nfev=200, tol=1e-15)
+
+    stopped = solve()
+    lowered = [c for k, c in enumerate(costs) if c < min(costs[:k], default=math.inf)]
+    drops = [(a - b) / a for a, b in zip(lowered, lowered[1:])]
+    assert stopped.converged
+    assert costs[-1] == lowered[-1] == 0.5 * float(stopped.residuals @ stopped.residuals)
+    assert drops[-1] < mc.fitter.COST_TOL <= min(drops[:-1])
+
+    monkeypatch.setattr(mc.fitter, "COST_TOL", 0.0)
+    full = solve()
+    assert full.converged
+    assert full.n_evaluations > stopped.n_evaluations
+    np.testing.assert_allclose(stopped.x, full.x, rtol=1e-8)
+
+
+# the evaluations of each family's fit of the shipped histogram (seed 0) when an accepted
+# step had to lower the cost by less than 1e-15 of it to end a solve
+EVALUATIONS_AT_COST_TOL_1E_15 = {"gamma1": 86, "gamma2": 66, "emg": 61, "erfc": 37, "erfc-mu": 60}
+
+
+@pytest.mark.parametrize("family", mc.FAMILIES)
+def test_cost_stop_saves_evaluations_on_shipped_data(data_dir, family, monkeypatch):
+    h = mc.reweight(mc.normalize(mc.load_histogram(data_dir / "imt_histogram.csv", BIN_WIDTH)), LAM)
+    fit = fit_imt(h, family, seed=0)
+    monkeypatch.setattr(mc.fitter, "COST_TOL", 1e-15)
+    fine = fit_imt(h, family, seed=0)
+    assert fine.n_evaluations == EVALUATIONS_AT_COST_TOL_1E_15[family]
+    assert fit.n_evaluations < fine.n_evaluations
+    for name in PARAMS[family]:
+        assert getattr(fit.model, name) == pytest.approx(getattr(fine.model, name), rel=1e-7)
 
 
 def test_death_family_mass_is_closer_to_one_on_shipped_data(data_dir):

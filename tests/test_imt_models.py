@@ -426,6 +426,21 @@ def test_reweighted_density_that_overflows_is_a_validation_error():
             reweighted_density(model, -1000.0, [1.0, 20.0, 1000.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [
+    FIT_ERFC,
+    FIT_ERFC_MU,
+    Model(family="erfc", beta0=0.2, m=20.0, sigma=1e-3),
+    Model(family="erfc-mu", beta0=0.2, m=20.0, sigma=3.0, mu=10.0),
+], ids=lambda m: f"{m.family}-sigma{m.sigma:g}-mu{m.death_rate:g}")
+def test_erfc_density_is_zero_where_its_hazard_overflows(model):
+    ages = [1e200, 1e308, np.finfo(float).max]
+    np.testing.assert_array_equal(imt_density(model, ages), np.zeros(3))
+    hazard = cumulative_hazard(model, ages)
+    assert hazard[0] == pytest.approx(2.0 * model.beta0 * 1e200, rel=1e-15)
+    assert (hazard[1:] == math.inf).all()
+
+
 def test_reweighted_density_bypasses_normalization_for_death_family():
     a = np.linspace(0.0, 90.0, 200)
     expected = (

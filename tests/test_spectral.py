@@ -10,13 +10,16 @@ from mitoclock import (
     ClosedFormRate,
     ConfigurationError,
     Model,
+    SimConfig,
     TabulatedRate,
     ValidationError,
     equilibrium,
     gre_functional,
     solve_lambda,
 )
+from mitoclock import spectral
 from mitoclock.imt_models import reweighted_mass
+from mitoclock.simulator import scheme_growth_rate
 from mitoclock.spectral import (
     LAMBDA_MAX,
     SURVIVAL_TOL,
@@ -24,7 +27,9 @@ from mitoclock.spectral import (
     _adjoint,
     _cell_sources,
     _renewal_table,
+    _renewal_value,
     build_grid,
+    falsi_root,
     renewal_residual,
 )
 
@@ -76,6 +81,35 @@ def test_growth_rate_at_the_largest_death_rate_is_minus_mu():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert solve_lambda(rate, 1e308) == -1e308
+
+
+@pytest.mark.parametrize("mu", [0.0, FIT_ERFC_MU.mu])
+def test_each_growth_rate_root_evaluates_g_at_zero_once(mu, monkeypatch):
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    roots = []  # per root: g0, g, and the k of each call falsi_root made
+
+    def recorded(g, g0, mu):
+        ks = []
+        roots.append((g0, g, ks))
+        return falsi_root(lambda k: ks.append(k) or g(k), g0, mu)
+
+    renewal_ks = []
+
+    def renewal_value(table, k):
+        renewal_ks.append(k)
+        return _renewal_value(table, k)
+
+    monkeypatch.setattr(spectral, "falsi_root", recorded)
+    monkeypatch.setattr(spectral, "_renewal_value", renewal_value)
+    solve_lambda(rate, mu)
+    scheme_growth_rate(SimConfig(rate=rate, mu=mu, f=0.0, t_end=1.0))
+    # every g of solve_lambda reads _renewal_value, so this counts all its calls at k = 0;
+    # in both roots falsi_root is handed g(0) and never calls g at 0 itself
+    assert renewal_ks.count(0.0) == 1
+    assert len(roots) == 2
+    for g0, g, ks in roots:
+        assert 0.0 not in ks
+        assert g0 == g(0.0) > 0.0
 
 
 @given(

@@ -55,6 +55,7 @@ FAMILIES = tuple(PARAMS)
 _FIELDS = {"beta0": True, "m": False, "sigma": True, "mu": False}
 
 _SQRT_PI = math.sqrt(math.pi)
+_H_CAP = 1e100  # past h = x/sigma = 1e100 a gamma rate is 1/sigma, and its hazard h, to rounding
 _GL_RULE = np.polynomial.legendre.leggauss(16)
 
 
@@ -74,17 +75,10 @@ def erfc(z):
 
 
 def erfc_integral(m: float, sigma: float, a):
-    """Integral of erfc((m - a')/sigma) for a' from 0 to a, in closed form."""
+    """Integral of erfc((m - a')/sigma) for a' in [0, a], in closed form; inf if it overflows."""
     m, sigma = check_number(m, "m"), check_number(sigma, "sigma", 0, strict=True)
-    z = (m - np.asarray(a, dtype=float)) / sigma
-    return _erfc_integral(m, sigma, z, erfc(z))
-
-
-def _erfc_integral(m: float, sigma: float, z, erfc_z):
-    """erfc_integral at the ages where z = (m - a)/sigma, given erfc_z = erfc(z)."""
-    z0 = m / sigma
-    const = m * erfc(z0) - (sigma / _SQRT_PI) * np.exp(-z0 * z0)
-    return const - sigma * z * erfc_z + (sigma / _SQRT_PI) * np.exp(-z * z)
+    with np.errstate(over="ignore"):
+        return _erfc(np.asarray(a, dtype=float), 1.0, m, sigma)[1]
 
 
 @dataclass(frozen=True)
@@ -161,34 +155,45 @@ def _gamma_partials(rate, rate_x, x, sigma):
 def _gamma1(a, m, sigma, partials=False):
     x = np.maximum(a - m, 0.0)
     h = x / sigma
-    rate, hazard = x / (sigma * (sigma + x)), h - np.log1p(h)
+    h_cap = np.minimum(h, _H_CAP)
+    scale = sigma * (1.0 + h_cap)
+    rate, hazard = h_cap / scale, h - np.log1p(h_cap)
     if not partials:
         return rate, hazard
-    rate_x = np.where(a > m, 1.0 / (sigma + x) ** 2, 0.0)
+    rate_x = np.where(a > m, 1.0 / (scale * scale), 0.0)
     return rate, hazard, *_gamma_partials(rate, rate_x, x, sigma)
 
 
 def _gamma2(a, m, sigma, partials=False):
     x = np.maximum(a - m, 0.0)
     h = x / sigma
-    p = 2 * sigma * sigma + 2 * sigma * x + x * x
-    rate, hazard = x * x / (sigma * p), h - np.log1p(h * (2.0 + h) / 2.0)
+    h_cap = np.minimum(h, _H_CAP)
+    w = h_cap * (2.0 + h_cap)
+    scale = sigma * (2.0 + w)
+    rate, hazard = h_cap * h_cap / scale, h - np.log1p(w / 2.0)
     if not partials:
         return rate, hazard
-    return rate, hazard, *_gamma_partials(rate, 2.0 * x * (2.0 * sigma + x) / (p * p), x, sigma)
+    return rate, hazard, *_gamma_partials(rate, 2.0 * w / (scale * scale), x, sigma)
 
 
 def _erfc(a, beta0, m, sigma, partials=False):
-    z = (m - a) / sigma
-    erfc_z = erfc(z)
-    integral = _erfc_integral(m, sigma, z, erfc_z)
-    rate, hazard = beta0 * erfc_z, beta0 * integral
+    # beta0 * erfc_integral with the rate, not 2, multiplied into a - m, so that the hazard
+    # is finite wherever 2*beta0*(a - m) is; gauss is exp(-z^2), without its 1/sqrt(pi)
+    gap = a - m
+    z = gap / -sigma
+    z0 = m / sigma
+    erfc_z, erfc_z0 = erfc(z), erfc(z0)
+    gauss = np.exp(-z * z)
+    rise = gauss - math.exp(-z0 * z0)
+    rest = m * erfc_z0 + (sigma / _SQRT_PI) * rise
+    rate = beta0 * erfc_z
+    hazard = beta0 * rest + rate * gap
     if not partials:
         return rate, hazard
-    z0 = m / sigma
-    gauss, gauss0 = np.exp(-z * z) / _SQRT_PI, math.exp(-z0 * z0) / _SQRT_PI
-    d_rate = np.array((erfc_z, (-2.0 * beta0 / sigma) * gauss, (2.0 * beta0 / sigma) * gauss * z))
-    d_hazard = np.array((integral, beta0 * (erfc(z0) - erfc_z), beta0 * (gauss - gauss0)))
+    slope = 2.0 * beta0 / (sigma * _SQRT_PI)
+    d_rate = np.array((erfc_z, -slope * gauss, slope * gauss * z))
+    d_hazard = np.array((rest + erfc_z * gap, beta0 * (erfc_z0 - erfc_z),
+                         (beta0 / _SQRT_PI) * rise))
     return rate, hazard, d_rate, d_hazard
 
 
@@ -212,16 +217,17 @@ def _closed_form(model: Model):
 
 
 def division_rate(model: Model, a):
-    """Age-dependent division rate beta(a), in closed form.
+    """Age-dependent division rate beta(a), in closed form; finite at every finite age.
 
     Not available for the emg family, whose rate has no closed form;
     recover it numerically with inversion.invert_imt instead.
     """
-    return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[0]
+    with np.errstate(over="ignore"):  # the hazard that comes with it may overflow
+        return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[0]
 
 
 def cumulative_hazard(model: Model, a):
-    """Integral of the division rate from 0 to a, in closed form; inf where it overflows."""
+    """Integral of the division rate from 0 to a, in closed form; inf only where it overflows."""
     with np.errstate(over="ignore"):
         return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[1]
 

@@ -18,6 +18,10 @@ on NODES_PER_CELL Gauss-Legendre nodes per grid cell, reading the hazard alone:
 exp(-s) is one derivative smoother than beta * exp(-s).  The gamma rates have a
 kink at m, so the cell that holds a closed-form rate's m is split there into
 two panels.  Each cell's adjoint source uses the same identity.
+
+Every grid is sized from the hazard alone (`build_grid`), so a rate is any callable
+with a `.hazard(ages)`; this module reads nothing else of it but a closed-form
+rate's `.model.m`, for that split.
 """
 
 from __future__ import annotations
@@ -111,50 +115,38 @@ def _cell_sources(table: _RenewalTable, s: np.ndarray, k: float) -> np.ndarray:
 
 
 def build_grid(rate, step: float = DEFAULT_STEP, a_max: float | None = None) -> np.ndarray:
-    """Uniform age grid covering the rate's divergence range, or up to a given a_max.
+    """Uniform age grid [0, n*step] of n >= 2 cells: up to a given a_max, or until the
+    rate has all but divided.
 
-    It has max(2, ceil(a_max/step - 1e-9)) cells of width step; the simulator's
-    age cells are this grid too, so this is the one place that rule lives.
-    Without an explicit a_max, the upper end starts at m + 12*sigma (closed
-    forms) or the table end and is extended until division survival drops
-    below SURVIVAL_TOL, by at most 400 steps of 4*sigma plus twice the plateau
-    length log(1/SURVIVAL_TOL)/rate(m + 12*sigma) (closed forms) or 400
-    quarters of the table.  Raises ConfigurationError if the rate never
-    accumulates enough hazard (e.g. a rate that is identically zero), and
-    ValidationError if the grid would have more than MAX_CELLS cells, or if
-    a_max is not given and the rate has neither a .model nor .ages to start from.
+    With a_max, n = max(2, ceil(a_max/step - 1e-9)); the simulator's age cells are this
+    grid too, so this is the one place that rule lives.  Without it, n*step is the first
+    cell edge at which division survival exp(-hazard) is no longer >= SURVIVAL_TOL (a
+    NaN hazard ends the grid there too).  As the hazard never falls, n is found from it
+    alone, read at one age at a time: doubled from 2, then bisected, in at most
+    2*log2(MAX_CELLS) + 1 reads.  Raises ConfigurationError if survival is still
+    >= SURVIVAL_TOL after MAX_CELLS cells (e.g. a rate that is identically zero), and
+    ValidationError if a_max/step exceeds MAX_CELLS.
     """
     step = check_number(step, "step", 0, strict=True)
     if a_max is not None:
         a_max = check_number(a_max, "a_max", 0, strict=True)
-    else:
-        model = getattr(rate, "model", None)
-        if model is not None:
-            a_max = model.m + 12.0 * model.sigma
-            chunk = 4.0 * model.sigma
-            # past m + 12 sigma a closed-form rate only grows, so survival falls below
-            # SURVIVAL_TOL within log(1/SURVIVAL_TOL)/rate(a_max) more hours: on a slow
-            # plateau that can be far more than 400 chunks of the sigma scale
-            cap = a_max + 400.0 * chunk + 2.0 * math.log(1.0 / SURVIVAL_TOL) / float(rate(a_max))
-        elif hasattr(rate, "ages"):
-            a_max = float(rate.ages[-1])
-            chunk = max(0.25 * a_max, 10.0 * step)
-            cap = a_max + 400.0 * chunk
-        else:
-            raise ValidationError(
-                f"cannot size an age grid for a {type(rate).__name__}: the rate needs a "
-                "closed-form .model or tabulated .ages, or the caller an a_max or grid"
-            )
-        while math.exp(-float(rate.hazard(a_max))) >= SURVIVAL_TOL:
-            a_max += chunk
-            if a_max > cap:
-                raise ConfigurationError(
-                    "division survival never drops below tolerance; "
-                    "rate does not diverge on any reachable grid"
-                )
-    check_cell_count(a_max, step)
-    n = max(2, int(math.ceil(a_max / step - 1e-9)))
-    return np.arange(n + 1) * step
+        check_cell_count(a_max, step)
+        return np.arange(max(2, int(math.ceil(a_max / step - 1e-9))) + 1) * step
+
+    def survives(n: int) -> bool:
+        return math.exp(-float(rate.hazard(n * step))) >= SURVIVAL_TOL
+
+    lo, hi = 1, 2  # survival holds at lo (or lo is below the 2 cells of any grid), not at hi
+    while survives(hi):
+        if hi == MAX_CELLS:
+            raise ConfigurationError(f"division survival is still >= {SURVIVAL_TOL:g} after "
+                                     f"MAX_CELLS = {MAX_CELLS} cells of {step:g}, at age "
+                                     f"{hi * step:g}: the rate does not diverge within reach")
+        lo, hi = hi, min(2 * hi, MAX_CELLS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if survives(mid) else (lo, mid)
+    return np.arange(hi + 1) * step
 
 
 def check_cell_count(a_max: float, step: float) -> None:

@@ -123,6 +123,12 @@ def test_erfc_integral_limiting_slope_is_two():
     assert v2 - v1 == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_erfc_integral_overflows_to_inf_without_a_warning():
+    values = erfc_integral(10.0, 1.0, [1e200, 1e308, 1.7e308])
+    np.testing.assert_allclose(values, [2e200, math.inf, math.inf], rtol=1e-15)
+
+
 # --- division rates --------------------------------------------------------
 
 def test_gamma1_rate_values():
@@ -434,11 +440,39 @@ def test_reweighted_density_that_overflows_is_a_validation_error():
     Model(family="erfc-mu", beta0=0.2, m=20.0, sigma=3.0, mu=10.0),
 ], ids=lambda m: f"{m.family}-sigma{m.sigma:g}-mu{m.death_rate:g}")
 def test_erfc_density_is_zero_where_its_hazard_overflows(model):
+    # exp(-hazard) underflows; the hazard itself, 2*beta0*(a - m), fits in a double
     ages = [1e200, 1e308, np.finfo(float).max]
     np.testing.assert_array_equal(imt_density(model, ages), np.zeros(3))
     hazard = cumulative_hazard(model, ages)
-    assert hazard[0] == pytest.approx(2.0 * model.beta0 * 1e200, rel=1e-15)
-    assert (hazard[1:] == math.inf).all()
+    np.testing.assert_allclose(hazard, 2.0 * model.beta0 * np.array(ages), rtol=1e-15)
+
+
+HAZARD_SIGMA_1E_3 = [1e203, math.inf, math.inf]
+HUGE_AGES = {
+    # h = x/sigma overflows at 1e308, where h - log1p(h) would be inf - inf = nan
+    "gamma1-sigma1e-3": (Model(family="gamma1", m=10.0, sigma=1e-3), 1e3, HAZARD_SIGMA_1E_3),
+    # x^2 overflows past 1e154: x^2/x^2 would be nan, and h - log1p(h^2/2) -inf
+    "gamma2-sigma1e-3": (Model(family="gamma2", m=10.0, sigma=1e-3), 1e3, HAZARD_SIGMA_1E_3),
+    # sigma * (sigma + x) overflows at 1e308, where x / inf would be 0
+    "gamma1-sigma2": (Model(family="gamma1", m=10.0, sigma=2.0), 0.5, [5e199, 5e307, 8.5e307]),
+    "gamma2-sigma2": (Model(family="gamma2", m=10.0, sigma=2.0), 0.5, [5e199, 5e307, 8.5e307]),
+    # z*z overflows past 1e154, and 2*(a - m) at 1.7e308, where 2*beta0*(a - m) does not
+    "erfc": (Model(family="erfc", beta0=0.2, m=10.0, sigma=1.0), 0.4, [4e199, 4e307, 6.8e307]),
+    # z = (m - a)/sigma itself overflows at 1e308
+    "erfc-sigma1e-3": (Model(family="erfc", beta0=0.2, m=10.0, sigma=1e-3), 0.4,
+                       [4e199, 4e307, 6.8e307]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, rate, hazard", HUGE_AGES.values(), ids=HUGE_AGES)
+def test_closed_forms_reach_their_limits_at_huge_ages(model, rate, hazard):
+    ages = [1e200, 1e308, 1.7e308]
+    np.testing.assert_allclose(division_rate(model, ages), rate, rtol=1e-15)
+    np.testing.assert_allclose(cumulative_hazard(model, ages), hazard, rtol=1e-15)
+    for a, expected in zip(ages, hazard):
+        assert float(division_rate(model, a)) == pytest.approx(rate, rel=1e-15)
+        assert float(cumulative_hazard(model, a)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_reweighted_density_bypasses_normalization_for_death_family():

@@ -764,18 +764,18 @@ class BareRate:
 
 
 SIZED_BY_A_RATE = {
-    "simulate": lambda: simulate(SimConfig(rate=BareRate(), mu=0.0, f=0.0, t_end=10.0)),
-    "solve_lambda": lambda: solve_lambda(BareRate(), 0.0),
-    "imt_experiment": lambda: imt_experiment(BareRate(), 0.0, 5.0, 60.0),
+    "build_grid": lambda rate: build_grid(rate),
+    "simulate": lambda rate: simulate(SimConfig(rate=rate, mu=0.0, f=0.0, t_end=10.0)).N,
+    "solve_lambda": lambda rate: solve_lambda(rate, 0.0),
+    "imt_experiment": lambda rate: imt_experiment(rate, 0.0, 5.0, 60.0)[1],
 }
 
 
 @pytest.mark.parametrize("call", SIZED_BY_A_RATE.values(), ids=SIZED_BY_A_RATE)
-def test_a_rate_the_grid_cannot_be_sized_for_is_rejected(call):
-    # without a_max the cells need the rate to size them; the cohort solves lambda on a
-    # grid the rate must size
-    with pytest.raises(ValidationError, match=r"\.model or tabulated \.ages"):
-        call()
+def test_a_rate_with_a_hazard_alone_sizes_its_own_grid(call):
+    # the grid is sized from the hazard alone, so no a_max is needed; m = 17 is a grid
+    # edge, so the closed form's kink splits no renewal cell either
+    np.testing.assert_array_equal(call(BareRate()), call(ClosedFormRate(GAMMA2)))
 
 
 def test_a_rate_without_model_or_ages_runs_from_a_custom_start_with_a_max():

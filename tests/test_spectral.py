@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -386,6 +387,52 @@ def test_build_grid_covers_a_slow_plateau_after_a_narrow_rise():
     assert 280.0 < grid[-1] < 290.0
     pair = equilibrium(rate, 0.0, grid=grid)
     assert abs(renewal_residual(rate, 0.0, pair.lam, grid)) < 1e-10
+
+
+class _ScalarReads:
+    """Counts the hazard reads of a rate, each at one age; the rate itself must not be called."""
+
+    def __init__(self, rate):
+        self.rate, self.reads = rate, 0
+
+    def __call__(self, a):
+        raise AssertionError("the rate itself was evaluated")
+
+    def hazard(self, a):
+        assert np.ndim(a) == 0
+        self.reads += 1
+        return self.rate.hazard(a)
+
+
+READ_BUDGET = 41  # 2*log2(MAX_CELLS) + 1: doubling n from 2, then bisecting
+GRID_RATES = {
+    "gamma1": ClosedFormRate(Model(family="gamma1", m=17.0, sigma=2.0)),
+    "gamma2": ClosedFormRate(Model(family="gamma2", m=17.0, sigma=2.0)),
+    "erfc": ClosedFormRate(Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)),
+    "erfc-mu": ClosedFormRate(FIT_ERFC_MU),
+    "slow-plateau": ClosedFormRate(Model(family="erfc", beta0=0.05, m=10.0, sigma=0.1)),
+    # survival reaches SURVIVAL_TOL near 34550 h, ~691000 cells: the longest bisection
+    "near-MAX_CELLS": ClosedFormRate(Model(family="erfc", beta0=4e-4, m=10.0, sigma=1.0)),
+    "table": TabulatedRate([0.0, 10.0, 20.0, 30.0], [0.0, 0.1, 0.3, 0.5]),
+}
+
+
+@pytest.mark.parametrize("rate", GRID_RATES.values(), ids=GRID_RATES)
+def test_default_grid_ends_at_the_first_edge_past_the_survival_tolerance(rate):
+    counted = _ScalarReads(rate)
+    grid = build_grid(counted, step=0.05)
+    assert counted.reads <= READ_BUDGET
+    np.testing.assert_array_equal(grid, np.arange(grid.size) * 0.05)
+    before, end = (math.exp(-float(rate.hazard(a))) for a in grid[-2:])
+    assert before >= SURVIVAL_TOL > end
+
+
+def test_a_rate_that_does_not_diverge_within_max_cells_fails_within_the_read_budget():
+    # beta0 1e-6 is fit_imt's lower bound; survival at MAX_CELLS cells of 0.05 h is still ~0.9
+    counted = _ScalarReads(ClosedFormRate(Model(family="erfc", beta0=1e-6, m=10.0, sigma=1.0)))
+    with pytest.raises(ConfigurationError, match="MAX_CELLS"):
+        build_grid(counted, step=0.05)
+    assert counted.reads <= READ_BUDGET
 
 
 def adjoint_by_recursion(s, q):

@@ -43,6 +43,9 @@ run invert imt_density.csv --out-prefix inv
 run simulate fit_erfc-mu_model.json --f 0 0.6 0.84 --t-end 90 --out-prefix sweep
 # 20 000 steps: more steps than age cells, through the blocked renewal solve
 run simulate model.json --f 0 0.84 --t-end 1000 --out-prefix long
+# 10 228 cells and 9000 steps: three slabs of lags over three epochs of steps, so the
+# renewal solve takes its far-slab history once per epoch
+run simulate model.json --f 0 0.84 --t-end 90 --dt 0.01 --out-prefix fine
 # a quiescent death rate of its own
 run simulate model.json --f 0.6 --t-end 90 --mu-q 0.02 --out-prefix muq
 # dt * mu_q = 5 > 1 is a usage error (exit 2), not a negative quiescent pool

@@ -37,15 +37,17 @@ is L_j * b_{n-j}, the top cell at step n is L_{J-1} * b_{n-J+1} (its keep is
 never used: its content leaves the window), and Q keeps its recursion.  The
 equation is solved BLOCK steps at a time: inside a block exactly, by one
 product with (I - c*T0)^-1, formed by Neumann doubling; the history sums are
-BLAS products of Hankel panels of K and L against finished blocks of b (the
-windows of a superblock in one product, the rest of the superblock's own
-blocks one product each).  K, L, b and every matrix are nonnegative, so every
-sum is of nonnegative terms and each output is accurate relative to itself:
-births that are exactly 0 before the first division stay exactly 0.  An FFT
-convolution would be O(N log N) but its error is absolute, relative to the
-largest term, and turns those zeros into +-1e-20 noise.  Where L_k is too
-small to carry a start cell (a spike in the hazard, or steep death), the
-start from that cell on is solved on its own cells without births, anchored
+BLAS products of Hankel panels of K and L, a SLAB of lags each, against finished
+blocks of b.  Lags past the first slab reach only newborns made SLAB steps before,
+so those slabs take the windows of a whole epoch of SLAB steps in one product; the
+first slab takes those of a superblock in one product, and the rest of the
+superblock's own blocks one product each.  K, L, b and every matrix are
+nonnegative, so every sum is of nonnegative terms and each output is accurate
+relative to itself: births that are exactly 0 before the first division stay
+exactly 0.  An FFT convolution would be O(N log N) but its error is absolute,
+relative to the largest term, and turns those zeros into +-1e-20 noise.  Where
+L_k is too small to carry a start cell (a spike in the hazard, or steep death),
+the start from that cell on is solved on its own cells without births, anchored
 there, and its divisions feed the rest as a known source (`_renewal`).
 
 The labeled cohort of `imt_experiment` re-injects no daughters, so it needs no
@@ -71,8 +73,11 @@ ESCAPE_TOL = 1e-9  # fraction of the population allowed to sit in the top age ce
 MAX_STEPS = 10**7  # most time steps one simulate or imt_experiment run may take
 HAZARD_TOL = 1e-6  # imt_experiment: largest hazard at t0 that counts as no division yet
 BLOCK = 32  # steps the renewal solve takes in one exact block product
-SUPERBLOCK = 32  # blocks whose history windows one panel product takes
-SLAB = 4096  # age cells per panel slab: the scratch arrays stay near 5 MB at any grid size
+SUPERBLOCK = 32  # blocks whose near-slab history windows one panel product takes
+SLAB = 4096  # age cells per panel slab, and steps per epoch: scratch stays near 8 MB
+# An epoch is whole superblocks, so it starts where a superblock does, and every newborn
+# that a far slab (lags >= SLAB) reads over the whole epoch is then final
+assert SLAB % (BLOCK * SUPERBLOCK) == 0, "SLAB must be a multiple of BLOCK * SUPERBLOCK"
 START_SPAN = 2.0**64  # largest b_{-k} = m0_k / L_k, relative to the largest start cell
 
 
@@ -249,9 +254,11 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
     start holds the virtual newborns b_{-k}.  Steps are taken BLOCK at a time: a block's
     d and P are one product of [[(I - c*T0)^-1, 0], [c*TL (I - c*T0)^-1, I]] with its
     history sums of K and L.  Those come from Hankel panels of K and L (2*BLOCK rows,
-    SLAB columns each), multiplied at the start of each superblock of SUPERBLOCK blocks
-    with the windows of all its blocks, its own newborns still 0, and then with those
-    newborns, one block at a time.
+    SLAB lags each).  A far panel, of lags >= SLAB, is built once per epoch of SLAB steps
+    and multiplied at its start with the windows of all its blocks, whose newborns are
+    then final.  The near panel, of lags < SLAB, is multiplied at the start of each
+    superblock of SUPERBLOCK blocks with the windows of all its blocks, its own newborns
+    still 0, and then with those newborns, one block at a time.
     """
     n_cells, base = start.size, steps + 1
     # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
@@ -266,19 +273,34 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
     solve = _neumann(np.where(inside, c * k_lag, 0.0))
     step = np.block([[solve, np.zeros((BLOCK, BLOCK))],
                      [np.where(inside, c * l_lag, 0.0) @ solve, np.eye(BLOCK)]])
-    slabs = [(lo, min(lo + SLAB, n_cells)) for lo in range(0, n_cells, SLAB)]
-    near = _panel(kernel, survival, *slabs[0])
+    near = _panel(kernel, survival, 0, min(SLAB, n_cells))
+    far = [(lo, min(lo + SLAB, n_cells)) for lo in range(SLAB, n_cells, SLAB)]
     blocks = -(-base // BLOCK)
     forcing = np.zeros(blocks * BLOCK)
     forcing[:base] = source
     out = np.zeros((blocks, 2 * BLOCK))  # row g: d, then P, of block g
+    # one scratch for the windows of up to an epoch's blocks, then a far panel, reused:
+    # a fresh array this large costs its page faults anew
+    span = min(blocks, SLAB // BLOCK) * near.shape[1]
+    scratch = np.empty(span + 2 * BLOCK * min(SLAB, max(n_cells - SLAB, 0)))
+
+    def add_history(top: int, length: int, lo: int, hi: int, panel: np.ndarray):
+        # the blocks of steps [top, top + length): their windows of lags [lo, hi), the
+        # last block's first, times the panel of those lags, into their rows of out
+        count = len(range(top, min(top + length, base), BLOCK))
+        rows = scratch[:count * (hi - lo)].reshape(count, hi - lo)
+        last = BLOCK + base - top - BLOCK * (count - 1) + lo
+        rows[:] = windows[last:last + BLOCK * count:BLOCK, :hi - lo]
+        out[top // BLOCK:top // BLOCK + count][::-1] += rows @ panel.T
+
     for top in range(0, base, BLOCK * SUPERBLOCK):
-        starts = np.arange(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK)
-        history = out[top // BLOCK:top // BLOCK + starts.size]
-        for lo, hi in slabs:
-            panel = near if lo == 0 else _panel(kernel, survival, lo, hi)
-            history += windows[BLOCK + base - starts + lo, :hi - lo] @ panel.T
-        for g, n0 in enumerate(starts.tolist()):
+        if top % SLAB == 0:  # an epoch: its far slabs read only newborns made before it
+            for lo, hi in far:
+                add_history(top, SLAB, lo, hi, _panel(kernel, survival, lo, hi, scratch[span:]))
+        add_history(top, BLOCK * SUPERBLOCK, 0, near.shape[1], near)
+        starts = range(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK)
+        history = out[top // BLOCK:top // BLOCK + len(starts)]
+        for g, n0 in enumerate(starts):
             lo = BLOCK + base - n0
             sums = history[g]
             done = min(n0 - top, near.shape[1])  # the superblock's newborns so far
@@ -291,14 +313,20 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
             out[:, BLOCK:].ravel()[:base])
 
 
-def _panel(kernel, survival, lo: int, hi: int) -> np.ndarray:
-    """Hankel panels of K, then L: row i holds K_{i+t} (L_{i+t}) for t in [lo, hi), 0 past J."""
-    def rows(series):
-        padded = np.zeros(hi - lo + BLOCK - 1)
+def _panel(kernel, survival, lo: int, hi: int, out=None) -> np.ndarray:
+    """Hankel panels of K, then L: row i holds K_{i+t} (L_{i+t}) for t in [lo, hi), 0 past J.
+
+    Written into the head of the flat array out, when given.
+    """
+    width = hi - lo
+    panel = np.empty(2 * BLOCK * width) if out is None else out[:2 * BLOCK * width]
+    panel = panel.reshape(2 * BLOCK, width)
+    for rows, series in ((panel[:BLOCK], kernel), (panel[BLOCK:], survival)):
+        padded = np.zeros(width + BLOCK - 1)
         part = series[lo:hi + BLOCK - 1]
         padded[:part.size] = part
-        return sliding_window_view(padded, hi - lo)[:BLOCK]
-    return np.concatenate([rows(kernel), rows(survival)])
+        rows[:] = sliding_window_view(padded, width)[:BLOCK]
+    return panel
 
 
 def _renewal(cells: _CellGrid, c: float, m0: np.ndarray, steps: int) -> list[_Run]:

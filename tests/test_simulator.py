@@ -21,6 +21,7 @@ from mitoclock import (
     simulate,
     solve_lambda,
 )
+from mitoclock import simulator
 from mitoclock.checks import predicted_fraction
 from mitoclock.imt_models import cumulative_hazard, division_rate
 from mitoclock.simulator import (
@@ -409,6 +410,14 @@ GOLDEN = {
     "steep-death": SimConfig(rate=REFERENCE, mu=19.9, f=0.3, t_end=90.0, mu_q=0.0),
     "steep-death-coarse": SimConfig(rate=REFERENCE, mu=5.0, f=0.3, t_end=90.0, dt=0.1,
                                     mu_q=0.0),
+    # more cells than one slab and more steps than one epoch: the far slabs' history
+    # products are taken once per epoch
+    "far-slabs": SimConfig(rate=REFERENCE, mu=0.00333, f=0.6, t_end=100.0, dt=0.02),
+    # 12 500 cells, three far slabs, the last narrower than a slab; the start past
+    # where L_k underflows is solved in anchored runs of their own
+    "far-slabs-custom-start": SimConfig(
+        rate=REFERENCE, mu=0.01, f=0.3, t_end=100.0, dt=0.02, a_max=250.0,
+        initial=CustomProfile(np.array([0.0, 200.0]), np.array([0.01, 0.01]))),
 }
 
 
@@ -416,6 +425,20 @@ GOLDEN = {
 def test_golden_runs_match_the_shift_loop(config):
     out = assert_matches_the_shift_loop(config, [0.0, config.t_end / 3, config.t_end])
     assert np.isfinite(out.N).all()
+
+
+SMALL_BLOCKS = ("more-steps-than-cells", "steps-not-a-block-multiple", "steep-death-coarse")
+
+
+@pytest.mark.parametrize("name", SMALL_BLOCKS)
+def test_small_blocks_cross_many_slabs_and_epochs(monkeypatch, name):
+    # nested as the module asks (SLAB a multiple of BLOCK * SUPERBLOCK), small enough
+    # that a run crosses tens of slabs, epochs and superblocks
+    for constant, value in (("BLOCK", 4), ("SUPERBLOCK", 4), ("SLAB", 32)):
+        monkeypatch.setattr(simulator, constant, value)
+    config = GOLDEN[name]
+    assert config.t_end / config.dt > 2 * simulator.SLAB
+    assert_matches_the_shift_loop(config, [0.0, config.t_end / 3, config.t_end])
 
 
 @pytest.mark.parametrize("family", CLOSED_FORM_RATES)

@@ -40,7 +40,7 @@ from .imt_models import (
     PARAMS,
     _ZERO_BELOW_M,
     Model,
-    _density_and_jacobian,
+    _density,
     reweighted_density,
     reweighted_mass,
 )
@@ -284,8 +284,8 @@ def fit_imt(
     heights = h.heights
 
     def residual_and_jacobian(theta):
-        density, jac = _density_and_jacobian(family, theta, lam, mids)
-        return density - heights, jac
+        density, partials = _density(family, theta, mids, lam, partials=True)
+        return 2.0 * density - heights, 2.0 * partials.T
 
     x0 = np.asarray(init, dtype=float) if init is not None else _default_init(family, h)
     if x0.size != len(names):

@@ -14,19 +14,32 @@ reweighted form `reweighted_density`.  Each closed-form family (all except
 `emg`) is one entry of the table `_CLOSED_FORMS`: a function that returns
 its division rate (`division_rate`) and that rate's integral
 (`cumulative_hazard`) together, from one evaluation, and on request their
-partials in the rate's parameters, from which `_density_and_jacobian` gives
-the fitter the reweighted density's Jacobian.  Both densities follow
-from these through the hazard identity: the probability that a cell has not
-divided by age a is exp(-cumulative_hazard(a)), so the density of ages at
-division is rate(a) * exp(-hazard(a) - mu*a), normalized.  `emg` has no
-entry: it is defined by its density, and its rate must be recovered
-numerically through the `inversion` module.
+partials in the rate's parameters.  Both densities follow from these through
+the hazard identity: the probability that a cell has not divided by age a is
+exp(-cumulative_hazard(a)), so the density of ages at division is
+rate(a) * exp(-hazard(a) - mu*a), normalized.  `emg` has no entry: it is
+defined by its density, and its rate must be recovered numerically through
+the `inversion` module.  One evaluator, `_density`, gives every family's
+density times exp(-lam*a), and on request its partials in the parameters:
+`imt_density`, `reweighted_density`, the masses and the fitter's Jacobian all
+read it, and it alone tells emg from a table entry.
 
 Masses (a death family's norm, `reweighted_mass`) use one rule: 16-point
-Gauss-Legendre on panels at most sigma wide, split at m, over [0, b = m + 40
+Gauss-Legendre on panels at most sigma wide, split at m, over [lo, b = m + 40
 sigma], plus the tail f(b)/k, k = rate(b) + decay (emg: 2*beta0 + decay).
 That tail is exact for erfc and emg (erfc(-40) is 2.0 in double precision, so
 their densities are exponential past b); the gamma tails are below 4e-15.
+Below lo = max(0, m - 40 sigma) the density is 0 in double precision wherever
+exp(-decay*a) is finite: a gamma rate is 0 below m, and erfc(40) underflows.
+emg's density peaks at its mode m - beta0*sigma^2, so its lo is
+max(0, m - (40 + beta0*sigma)*sigma).  [lo, m] thus takes at most 40 panels
+(emg: 40 + beta0*sigma) whatever m/sigma, and exactly the ceil(m/sigma) of
+[0, m] when lo is 0.  Past 80, emg's panels are sigma wide only within 40
+sigma of its mode and of m, with one panel across each gap, where its density
+is 0 to rounding: exp(-decay*a) moves the integrand's peak by
+decay*sigma^2/2, more than 27 sigma only where the integrand overflows or is
+below exp(-729)*beta0.  A sigma that m + 40 sigma does not resolve (it rounds
+to m, or overflows) is a ValidationError.
 
 Throughout, ages and times are in hours, rates in 1/hour.
 """
@@ -260,54 +273,67 @@ def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: flo
                               gauss * z / sigma - 2.0 * beta0 * bs * density))
 
 
+def _density(family: str, theta, a: np.ndarray, lam: float, partials=False):
+    """The family's density at the parameters theta (in PARAMS order) times exp(-lam*a):
+    rate(a)*exp(-hazard(a) - (mu+lam)*a) from its table entry, emg's I(a)*exp(-lam*a).
+
+    With partials=True, also its partials in theta, one row per parameter: a closed
+    form's survival*(d rate - rate*d hazard), and mu's -a times the density.
+    """
+    params = dict(zip(PARAMS[family], theta))
+    decay = params.pop("mu", 0.0) + lam
+    closed_form = _CLOSED_FORMS.get(family)
+    if closed_form is None:
+        return _emg_density(*params.values(), a, decay, partials)
+    rate, hazard, *rate_and_hazard_partials = closed_form(a, **params, partials=partials)
+    survival = np.exp(-hazard - decay * a)
+    density = rate * survival
+    if not partials:
+        return density
+    d_rate, d_hazard = rate_and_hazard_partials
+    rows = survival * (d_rate - rate * d_hazard)
+    if "mu" in PARAMS[family]:
+        rows = np.concatenate((rows, [-a * density]))
+    return density, rows
+
+
+def _theta(model: Model) -> list:
+    return [getattr(model, name) for name in PARAMS[model.family]]
+
+
 def _mass(model: Model, lam: float) -> float:
-    """Integral over [0, inf) of _decayed_density(model, ., death_rate + lam), by the rule
-    of the module docstring; ValidationError if the tail's decay rate k is not positive."""
+    """Integral over [0, inf) of _density(model's family and parameters, ., lam), by the
+    rule of the module docstring; ValidationError if m + 40 sigma does not resolve sigma,
+    or if the tail's decay rate k is not positive."""
+    m, sigma = model.m, model.sigma
     decay = model.death_rate + lam
-    b = model.m + 40.0 * model.sigma
+    b = m + 40.0 * sigma
+    if not m < b < math.inf:
+        raise ValidationError(f"{model.family} sigma = {sigma:g} is out of scale with m = "
+                              f"{m:g}: m + 40*sigma = {b:g}, so its mass cannot be taken")
+    # reach: how many sigmas below m the density can still be above 0 in double precision
     closed_form = _CLOSED_FORMS.get(model.family)
-    k = decay + (2.0 * model.beta0 if closed_form is None
-                 else float(closed_form(np.asarray(b), **_rate_params(model))[0]))
+    if closed_form is None:
+        rate_b, reach = 2.0 * model.beta0, 40.0 + model.beta0 * sigma
+    else:
+        rate_b, reach = float(closed_form(np.asarray(b), **_rate_params(model))[0]), 40.0
+    k = decay + rate_b
     if not k > 0:
         raise ValidationError(f"lambda = {lam:g} leaves the {model.family} density a tail "
                               f"that does not decay (rate {k:g} <= 0): its mass is infinite")
-    left = np.linspace(0.0, model.m, math.ceil(model.m / model.sigma) + 1)[:-1]
-    edges = np.concatenate((left, np.linspace(model.m, b, 41)))
+    lo = max(0.0, m - reach * sigma)
+    n = math.ceil(min((m - lo) / sigma, reach))
+    if n <= 80:
+        left = np.linspace(lo, m, n + 1)[:-1]
+    else:  # emg with beta0*sigma > 40: sigma-wide panels near its mode and near m only
+        steps = sigma * np.arange(-40.0, 41.0)
+        mode = m - model.beta0 * sigma * sigma
+        left = np.unique(np.clip(np.concatenate(([lo], mode + steps, m + steps[:40])), lo, m))
+        left = left[left < m]
+    edges = np.concatenate((left, np.linspace(m, b, 41)))
     ages, weights = _gauss_legendre(edges, _GL_RULE)
-    f = _decayed_density(model, np.append(ages.ravel(), b), decay)
+    f = _density(model.family, _theta(model), np.append(ages.ravel(), b), lam)
     return float(np.sum(weights * f[:-1].reshape(weights.shape))) + f[-1] / k
-
-
-def _decayed_density(model: Model, a, decay: float) -> np.ndarray:
-    """rate(a)*exp(-hazard(a) - decay*a) from the family's table entry; emg: I(a)*exp(-decay*a)."""
-    a = np.asarray(a, dtype=float)
-    closed_form = _CLOSED_FORMS.get(model.family)
-    if closed_form is None:
-        return _emg_density(model.beta0, model.m, model.sigma, a, decay)
-    rate, hazard = closed_form(a, **_rate_params(model))
-    return rate * np.exp(-hazard - decay * a)
-
-
-def _density_and_jacobian(family: str, theta, lam: float, a: np.ndarray):
-    """reweighted_density at the parameters theta (in PARAMS order) and its Jacobian in
-    theta, shape (ages, parameters), without building a Model.
-
-    A closed form's column is 2*exp(-hazard - (mu+lam)*a)*(d rate - rate*d hazard), and
-    mu's is -a times the density.
-    """
-    closed_form = _CLOSED_FORMS.get(family)
-    if closed_form is None:
-        density, d_density = _emg_density(*theta, a, lam, partials=True)
-        return 2.0 * density, 2.0 * d_density.T
-    params = dict(zip(PARAMS[family], theta))
-    mu = params.pop("mu", 0.0)
-    rate, hazard, d_rate, d_hazard = closed_form(a, **params, partials=True)
-    survival = np.exp(-hazard - (mu + lam) * a)
-    density = 2.0 * (rate * survival)
-    columns = 2.0 * survival * (d_rate - rate * d_hazard)
-    if "mu" in PARAMS[family]:
-        columns = np.concatenate((columns, [-a * density]))
-    return density, columns.T
 
 
 def imt_density(model: Model, a):
@@ -321,7 +347,7 @@ def imt_density(model: Model, a):
     """
     ages = check_ages(a)
     with np.errstate(over="ignore"):
-        density = _decayed_density(model, ages, model.death_rate)
+        density = _density(model.family, _theta(model), ages, 0.0)
     return density if model.mu is None else density / _mass(model, 0.0)
 
 
@@ -337,7 +363,7 @@ def reweighted_density(model: Model, lam: float, a):
     lam = check_number(lam, "growth rate lambda")
     ages = check_ages(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        density = 2.0 * _decayed_density(model, ages, model.death_rate + lam)
+        density = 2.0 * _density(model.family, _theta(model), ages, lam)
     if not np.isfinite(density).all():
         raise ValidationError(f"reweighted density is not finite at lambda = {lam:g}: "
                               "exp(-(mu + lambda)*a) overflows on these ages")

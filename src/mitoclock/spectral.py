@@ -76,7 +76,10 @@ class _RenewalTable(NamedTuple):
     """The hazard on the Gauss-Legendre nodes of every grid cell and at the grid's top A.
 
     The cell that holds a closed-form rate's m is split there, as `imt_models._mass`
-    splits its panels, so that no panel straddles the gamma rates' kink.
+    splits its panels at m, so that no panel straddles the gamma rates' kink.  Unlike
+    `_mass`, whose panels start where the density leaves 0, the table covers every cell
+    from age 0: the renewal integral is taken over the survival exp(-H - k a), which is
+    not 0 where the density is.
     """
 
     ages: np.ndarray  # nodes, shape (panels, NODES_PER_CELL), as are weights and hazard

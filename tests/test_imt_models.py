@@ -11,6 +11,8 @@ from mitoclock import (
     FAMILIES,
     ClosedFormRate,
     FitResult,
+    Histogram,
+    Kind,
     Model,
     TabulatedRate,
     UnsupportedVariantError,
@@ -19,6 +21,8 @@ from mitoclock import (
     division_rate,
     erfc,
     erfc_integral,
+    fit_imt,
+    fitter,
     imt_density,
     imt_models,
     mass_check,
@@ -27,7 +31,7 @@ from mitoclock import (
     reweighted_density,
     solve_lambda,
 )
-from mitoclock.imt_models import _density_and_jacobian, _emg_density, reweighted_mass
+from mitoclock.imt_models import _density, _emg_density, reweighted_mass
 
 FIT_ERFC = Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
 FIT_ERFC_MU = Model(family="erfc-mu", beta0=0.17879, m=25.007, sigma=3.6141, mu=0.00333)
@@ -290,6 +294,77 @@ def test_reweighting_that_outgrows_the_tail_is_rejected():
     assert reweighted_mass(emg, -0.09) == pytest.approx(slow, rel=1e-10)
 
 
+def model_of(family, m, sigma, beta0=0.2):
+    """A model of the family at (m, sigma), with beta0 and mu 0.01 where it takes them."""
+    names = imt_models.PARAMS[family]
+    return Model(family=family, m=m, sigma=sigma, beta0=beta0 if "beta0" in names else None,
+                 mu=0.01 if "mu" in names else None)
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """The number of Gauss-Legendre panels of each mass taken while the test runs."""
+    counts = []
+    gauss_legendre = imt_models._gauss_legendre
+
+    def counting(edges, rule):
+        counts.append(edges.size - 1)
+        return gauss_legendre(edges, rule)
+
+    monkeypatch.setattr(imt_models, "_gauss_legendre", counting)
+    return counts
+
+
+def piecewise_reference_mass(model, lam):
+    """Mass of reweighted_density(model, lam, .) by scipy quad, cut within 60 sigma of m and
+    of emg's mode, so that no narrow peak lies inside a long interval."""
+    m, sigma = model.m, model.sigma
+    mode = m - (model.beta0 * sigma * sigma if model.family == "emg" else 0.0)
+    cuts = sorted({max(0.0, c) for c in (0.0, mode - 60 * sigma, mode + 60 * sigma,
+                                         m - 60 * sigma, m, m + 60 * sigma)})
+
+    def f(a):
+        return float(reweighted_density(model, lam, a))
+
+    pieces = list(zip(cuts[:-1], cuts[1:])) + [(cuts[-1], np.inf)]
+    return sum(integrate.quad(f, lo, hi, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
+               for lo, hi in pieces)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("m, sigma", [(10.0, 1e-300), (1e100, 1.0), (10.0, 1e307)])
+def test_a_sigma_that_m_plus_40_sigma_does_not_resolve_is_rejected(family, m, sigma, panels):
+    # m + 40 sigma rounds to m (or overflows), so no panel can be sigma wide; a gamma
+    # family's mass is 2, not infinite, although its rate at m + 40 sigma (that is, at m) is 0
+    model = model_of(family, m, sigma)
+    with pytest.raises(ValidationError, match="sigma"):
+        reweighted_mass(model, 0.0)
+    if model.mu is not None:
+        with pytest.raises(ValidationError, match="sigma"):
+            imt_density(model, [1.0, 20.0])
+    assert panels == []
+
+
+# m/sigma 3e4 and 3e5 at sigma 1e-3: the density is 0 below m - 40 sigma (emg's below
+# m - (40 + beta0*sigma)*sigma), so the panel count does not grow with m/sigma
+BOUNDED_MASSES = [(model_of(family, m, 1e-3), 0.022, 81 if family == "emg" else 80)
+                  for family in FAMILIES for m in (30.0, 300.0)] + [
+    (Model(family="emg", beta0=10.0, m=1000.0, sigma=5.0), 0.0, 130),  # mode 750, lo 550
+    (Model(family="emg", beta0=10.0, m=1000.0, sigma=5.0), -0.05, 130),
+    (Model(family="emg", beta0=1.0, m=1e5, sigma=100.0), 0.01, 161),  # windows apart
+    (Model(family="emg", beta0=10.0, m=300.0, sigma=5.0), 0.0, 100),  # [0, m] in 60 panels
+]
+
+
+@pytest.mark.parametrize("model, lam, count", BOUNDED_MASSES,
+                         ids=[f"{p.family}-m{p.m:g}-sigma{p.sigma:g}-lam{lam:g}"
+                              for p, lam, _ in BOUNDED_MASSES])
+def test_masses_take_a_bounded_number_of_panels(model, lam, count, panels):
+    mass = reweighted_mass(model, lam)
+    assert panels == [count]
+    assert mass == pytest.approx(piecewise_reference_mass(model, lam), rel=1e-10)
+
+
 def shifted_gamma_pdf(k):
     """scipy's gamma density with shape k, shifted by m and scaled by sigma."""
     return lambda model, ages: stats.gamma.pdf(ages - model.m, k, scale=model.sigma)
@@ -511,6 +586,45 @@ def test_erfc_density_evaluates_erfc_once_per_age_array(monkeypatch, model):
 FIT_AGES = (np.arange(1, 64) + 0.5) * 1.25  # the midpoints of a 63-bin histogram
 
 
+def density_and_jacobian(family, theta, lam, ages):
+    """reweighted_density at the parameters theta and its Jacobian, shape (ages,
+    parameters), from imt_models._density as fit_imt's residual function builds them."""
+    density, partials = _density(family, theta, ages, lam, partials=True)
+    return 2.0 * density, 2.0 * partials.T
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Model(family="gamma1", m=17.0, sigma=2.0),
+        Model(family="gamma2", m=17.0, sigma=2.0),
+        Model(family="emg", beta0=0.2, m=60.0, sigma=1.0),  # past z = 26 below age 34
+        FIT_ERFC,
+        FIT_ERFC_MU,
+    ],
+    ids=lambda m: m.family,
+)
+def test_fit_residuals_are_the_reweighted_density_bit_for_bit(model, monkeypatch):
+    lam = 0.022
+    heights = reweighted_density(model, lam, FIT_AGES)
+    h = Histogram(bin_width=1.25, heights=heights, kind=Kind.REWEIGHTED, lambda_used=lam)
+    solves = []
+    least_squares = fitter._least_squares
+
+    def recording(residual_and_jacobian, *args):
+        solves.append(residual_and_jacobian)
+        return least_squares(residual_and_jacobian, *args)
+
+    monkeypatch.setattr(fitter, "_least_squares", recording)
+    fit_imt(h, model.family)
+    theta = [getattr(model, name) for name in imt_models.PARAMS[model.family]]
+    residuals, jac = solves[0](np.array(theta))
+    # the heights are reweighted_density at theta, so the fit's density minus them is 0
+    # exactly where, and only where, that density is reweighted_density bit for bit
+    assert not residuals.any()
+    assert np.array_equal(jac, density_and_jacobian(model.family, theta, lam, FIT_AGES)[1])
+
+
 @given(model=WIDE_MODELS, lam=st.floats(min_value=0.0, max_value=0.06),
        far=st.floats(min_value=26.0, max_value=27.5))
 @settings(max_examples=150, deadline=None)
@@ -519,7 +633,7 @@ def test_jacobian_matches_central_differences(model, lam, far):
     theta = np.array([getattr(model, name) for name in names])
     # emg also past z = (m - a)/sigma = 26, where its density takes the erfcx series
     ages = np.append(FIT_AGES, model.m - model.sigma * np.array([25.5, far]))
-    value, jac = _density_and_jacobian(model.family, theta, lam, ages)
+    value, jac = density_and_jacobian(model.family, theta, lam, ages)
     assert np.array_equal(value, reweighted_density(model, lam, ages))
     assert jac.shape == (ages.size, theta.size)
 
@@ -531,8 +645,8 @@ def test_jacobian_matches_central_differences(model, lam, far):
     for k in range(theta.size):
         step = np.zeros_like(theta)
         step[k] = 1e-7 * scale[k]
-        upper = _density_and_jacobian(model.family, theta + step, lam, ages)[0]
-        lower = _density_and_jacobian(model.family, theta - step, lam, ages)[0]
+        upper = density_and_jacobian(model.family, theta + step, lam, ages)[0]
+        lower = density_and_jacobian(model.family, theta - step, lam, ages)[0]
         central[:, k] = (upper - lower) / (2.0 * step[k])
     # a density below 1e-280 carries few digits, and a gamma density has a kink at m
     shown = (value > 1e-280) & (np.abs(ages - model.m) > 1e-3)

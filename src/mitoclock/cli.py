@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical failure (diagnostic JSON on stdout),
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import warnings
@@ -19,19 +20,42 @@ from pathlib import Path
 
 import numpy as np
 
-from . import simulator, svg
-from .checks import SUITES
 from .errors import MitoclockError, ValidationError
-from .fitter import fit_imt, mass_check
-from .growth import GrowthSeries, fit_growth, load_growth_csv
-from .histogram import load_histogram, normalize, reweight
-from .imt_models import FAMILIES, ClosedFormRate, Model, model_from_json, reweighted_density
-from .inversion import best_erfc_fit, invert_imt, write_rate_csv
 from .io import read_columns, write_columns
 
 
-def _read_model(path) -> Model:
+def _lazy(name: str):
+    """Submodule ``name``, executed on its first attribute access (importlib.util.LazyLoader),
+    so that each command runs only the modules it calls.  Module objects, not their names,
+    are bound here: a wrapper put on a module's function (perfbench/tracing.py) then also
+    wraps the calls made through it."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+checks, fitter, growth, histogram, inversion, simulator, svg = map(
+    _lazy, ("checks", "fitter", "growth", "histogram", "inversion", "simulator", "svg"))
+# imt_models is imported by name where it is used: held as a module here, the calls it makes
+# to its own public functions (erfc, in every density evaluation) would be traced too
+
+
+def __getattr__(name):
+    if name == "SUITES":  # verify suite name -> suite(model), loaded with its checks
+        return checks.SUITES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _read_model(path):
     """The model in a model or fit-result JSON file, with the path in any ValidationError."""
+    from .imt_models import model_from_json
+
     try:
         return model_from_json(Path(path).read_bytes())
     except ValidationError as exc:
@@ -47,12 +71,12 @@ def _prefix(args, default_source) -> Path:
 
 
 def cmd_fit_growth(args) -> int:
-    series = load_growth_csv(args.counts_csv)
+    series = growth.load_growth_csv(args.counts_csv)
     if args.window is not None:
         lo, hi = args.window
         keep = (series.times >= lo) & (series.times <= hi)
-        series = GrowthSeries(series.times[keep], series.counts[keep])
-    fit = fit_growth(series)
+        series = growth.GrowthSeries(series.times[keep], series.counts[keep])
+    fit = growth.fit_growth(series)
     prefix = _prefix(args, args.counts_csv)
     payload = {
         "lambda": fit.lam,
@@ -72,10 +96,12 @@ def cmd_fit_growth(args) -> int:
 
 
 def cmd_fit_imt(args) -> int:
-    hist = normalize(load_histogram(args.hist_csv, bin_width=args.dt))
-    reweighted = reweight(hist, args.lam)
-    result = fit_imt(reweighted, args.family, seed=args.seed)
-    check = mass_check(result)
+    from .imt_models import reweighted_density
+
+    hist = histogram.normalize(histogram.load_histogram(args.hist_csv, bin_width=args.dt))
+    reweighted = histogram.reweight(hist, args.lam)
+    result = fitter.fit_imt(reweighted, args.family, seed=args.seed)
+    check = fitter.mass_check(result)
     prefix = _prefix(args, args.hist_csv)
     prefix.with_suffix(".json").write_text(result.to_json() + "\n")
     Path(f"{prefix}_model.json").write_text(result.model.to_json() + "\n")
@@ -88,10 +114,10 @@ def cmd_fit_imt(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    rate = invert_imt(*read_columns(args.imt_csv, 2))
+    rate = inversion.invert_imt(*read_columns(args.imt_csv, 2))
     prefix = _prefix(args, args.imt_csv)
-    write_rate_csv(rate, f"{prefix}_beta.csv")
-    model, comparison = best_erfc_fit(rate)
+    inversion.write_rate_csv(rate, f"{prefix}_beta.csv")
+    model, comparison = inversion.best_erfc_fit(rate)
     payload = {
         "best_erfc": model.param_dict(),
         "r_squared": comparison.r_squared,
@@ -108,6 +134,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .imt_models import ClosedFormRate
+
     model = _read_model(args.model_json)
     rate = ClosedFormRate(model)
     prefix = _prefix(args, args.model_json)
@@ -139,37 +167,28 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _read_model(args.model_json)
-    checks = SUITES[args.suite](model)
     all_ok = True
-    for name, ok, value in checks:
+    for name, ok, value in checks.SUITES[args.suite](model):
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({value})")
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mitoclock",
-        description="Division-rate recovery from IMT histograms and quiescence simulation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit-growth", help="estimate the growth rate from a t,N CSV")
+def _fit_growth_args(p):
     p.add_argument("counts_csv")
     p.add_argument("--window", nargs=2, type=float, metavar=("T_LO", "T_HI"))
     p.add_argument("--out-prefix")
-    p.set_defaults(func=cmd_fit_growth)
 
-    p = sub.add_parser(
-        "fit-imt",
-        help="fit a reweighted IMT histogram",
-        description=(
-            "Fits the growth-reweighted model curve to the reweighted histogram. "
-            "With --lambda 0 the reweighting is the identity on the density but the "
-            "model keeps its factor 2 for the two daughters per division, so the "
-            "fitted curve carries twice the histogram mass; parameters absorb the "
-            "scale accordingly."
-        ),
+
+def _fit_imt_args(p):
+    from .imt_models import FAMILIES
+
+    p.description = (
+        "Fits the growth-reweighted model curve to the reweighted histogram. "
+        "With --lambda 0 the reweighting is the identity on the density but the "
+        "model keeps its factor 2 for the two daughters per division, so the "
+        "fitted curve carries twice the histogram mass; parameters absorb the "
+        "scale accordingly."
     )
     p.add_argument("hist_csv")
     p.add_argument("--dt", type=float, required=True, help="bin width in hours")
@@ -177,32 +196,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--seed", type=int, default=None, help="multi-start seed (default: env)")
     p.add_argument("--out-prefix")
-    p.set_defaults(func=cmd_fit_imt)
 
-    p = sub.add_parser("invert", help="recover a tabulated division rate from an age,I CSV")
+
+def _invert_args(p):
     p.add_argument("imt_csv")
     p.add_argument("--out-prefix")
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("simulate", help="run dose-dependent quiescence simulations")
+
+def _simulate_args(p):
     p.add_argument("model_json")
     p.add_argument("--f", nargs="+", type=float, required=True, help="quiescent fractions")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--mu-q", type=float, default=None, help="quiescent death rate (default: mu)")
     p.add_argument("--out-prefix")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run a numerical verification suite")
+
+def _verify_args(p):
     p.add_argument("model_json")
-    p.add_argument("--suite", required=True, choices=SUITES)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--suite", required=True, choices=checks.SUITES)
 
+
+# command -> (its function, the function adding its arguments, one-line help)
+COMMANDS = {
+    "fit-growth": (cmd_fit_growth, _fit_growth_args, "estimate the growth rate from a t,N CSV"),
+    "fit-imt": (cmd_fit_imt, _fit_imt_args, "fit a reweighted IMT histogram"),
+    "invert": (cmd_invert, _invert_args, "recover a tabulated division rate from an age,I CSV"),
+    "simulate": (cmd_simulate, _simulate_args, "run dose-dependent quiescence simulations"),
+    "verify": (cmd_verify, _verify_args, "run a numerical verification suite"),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command's arguments or, given a command's name, of only its own.
+
+    argparse reads an argument's choices when the argument is added, and the family and
+    suite choices are tables of the modules that use them; main names the command, so
+    that no other command's modules load.
+    """
+    parser = argparse.ArgumentParser(
+        prog="mitoclock",
+        description="Division-rate recovery from IMT histograms and quiescence simulation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, add_arguments, summary) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else "").parse_args(argv)
     # one line per warning; the filters stay as set, so -W error still raises
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

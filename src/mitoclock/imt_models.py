@@ -332,7 +332,8 @@ def _mass(model: Model, lam: float) -> float:
         left = left[left < m]
     edges = np.concatenate((left, np.linspace(m, b, 41)))
     ages, weights = _gauss_legendre(edges, _GL_RULE)
-    f = _density(model.family, _theta(model), np.append(ages.ravel(), b), lam)
+    with np.errstate(over="ignore"):  # as in imt_density: an exponent that overflows is a 0
+        f = _density(model.family, _theta(model), np.append(ages.ravel(), b), lam)
     return float(np.sum(weights * f[:-1].reshape(weights.shape))) + f[-1] / k
 
 

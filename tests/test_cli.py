@@ -1,11 +1,14 @@
 import argparse
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import mitoclock as mc
 from mitoclock.cli import SUITES, build_parser, main
+from mitoclock.io import write_columns
 
 
 FITTED_MODEL = {"family": "erfc-mu", "beta0": 0.17879, "m": 25.007, "sigma": 3.6141, "mu": 0.00333}
@@ -414,3 +417,87 @@ def test_commands_import_only_the_scipy_they_use(tmp_path, data_dir, model_json)
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fit_imt_help_lists_the_families(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit-imt", "--help"])
+    assert excinfo.value.code == 0
+    assert "{" + ",".join(mc.FAMILIES) + "}" in capsys.readouterr().out
+
+
+def test_verify_help_lists_the_suites(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--help"])
+    assert excinfo.value.code == 0
+    assert "{" + ",".join(SUITES) + "}" in capsys.readouterr().out
+
+
+def test_verify_unknown_suite_is_usage_error(model_json, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", str(model_json), "--suite", "spectral"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'spectral'" in capsys.readouterr().err
+
+
+LOAD_PROBE = """
+import importlib.machinery
+import sys
+
+executed = []
+exec_module = importlib.machinery.SourceFileLoader.exec_module
+
+
+def recorded(loader, module):
+    executed.append(module.__name__)
+    return exec_module(loader, module)
+
+
+importlib.machinery.SourceFileLoader.exec_module = recorded
+import mitoclock.cli
+
+if sys.argv[1:]:
+    assert mitoclock.cli.main(sys.argv[1:]) == 0
+names = sorted(name.removeprefix("mitoclock.") for name in executed
+               if name.startswith("mitoclock."))
+package = vars(sys.modules["mitoclock"])
+missing = [name for name in names if package.get(name) is not sys.modules["mitoclock." + name]]
+assert not missing, "not package attributes: " + str(missing)
+print(" ".join(names))
+"""
+BASE = {"cli", "errors", "io"}
+SIMULATION = {"imt_models", "spectral", "simulator"}
+
+
+@pytest.mark.parametrize("command, extra, modules", [
+    pytest.param(None, [], BASE, id="import"),
+    pytest.param("fit-growth", [], BASE | {"growth"}, id="fit-growth"),
+    pytest.param("fit-imt", ["--dt", "1.25", "--lambda", "0.022", "--family", "erfc"],
+                 BASE | {"histogram", "fitter", "imt_models"}, id="fit-imt"),
+    pytest.param("invert", [], BASE | {"inversion", "fitter", "histogram", "imt_models"},
+                 id="invert"),
+    pytest.param("simulate", ["--f", "0", "0.6", "--t-end", "10"], BASE | SIMULATION | {"svg"},
+                 id="simulate"),
+    # the eigen suite alone runs no simulation
+    pytest.param("verify", ["--suite", "eigen"], BASE | {"checks", "imt_models", "spectral"},
+                 id="verify-eigen"),
+    *[pytest.param("verify", ["--suite", suite], BASE | SIMULATION | {"checks"},
+                   id=f"verify-{suite}") for suite in ("gre", "imt-convergence", "fraction")],
+])
+def test_each_command_runs_only_its_modules(tmp_path, data_dir, model_json, command, extra,
+                                            modules):
+    # the README inputs; the emg density that invert reads is tabulated here
+    ages = np.arange(0.0, 80.0, 0.05)
+    emg = mc.Model(family="emg", beta0=0.2, m=22.0, sigma=2.5)
+    density_csv = tmp_path / "imt_density.csv"
+    write_columns(density_csv, ("age", "I"), (ages, mc.imt_density(emg, ages)))
+    source = {"fit-growth": data_dir / "growth_curve.csv",
+              "fit-imt": data_dir / "imt_histogram.csv",
+              "invert": density_csv, "simulate": model_json, "verify": model_json}
+    argv = [] if command is None else [command, str(source[command]), *extra]
+    if command not in (None, "verify"):
+        argv += ["--out-prefix", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == modules  # after the command's output

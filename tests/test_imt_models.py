@@ -294,6 +294,15 @@ def test_reweighting_that_outgrows_the_tail_is_rejected():
     assert reweighted_mass(emg, -0.09) == pytest.approx(slow, rel=1e-10)
 
 
+def test_mass_below_age_zero_is_zero_without_overflow_warning():
+    # beta0*sigma = 1e300 puts the emg mode ~1e300 h below age 0: on [0, inf) the
+    # density underflows, and its exponent overflows on the way
+    emg = Model(family="emg", beta0=1e300, m=10.0, sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert reweighted_mass(emg, 0.0) == 0.0
+
+
 def model_of(family, m, sigma, beta0=0.2):
     """A model of the family at (m, sigma), with beta0 and mu 0.01 where it takes them."""
     names = imt_models.PARAMS[family]

@@ -45,9 +45,9 @@ def _verify_eigen(model):
     rate, mu = ClosedFormRate(model), model.death_rate
     pair = spectral.equilibrium(rate, mu)
     grid = pair.grid
-    residual = abs(spectral.renewal_residual(rate, mu, pair.lam, grid))
+    residual = abs(spectral.renewal_residual(rate, mu, pair.lam))
     delta = 0.01
-    shifted = spectral.solve_lambda(rate, mu + delta, grid=grid)
+    shifted = spectral.solve_lambda(rate, mu + delta)
     shift_err = abs(shifted - (pair.lam - delta))
     mass_err = abs(float(np.trapezoid(pair.p_hat, grid)) - 1.0)
     adjoint_err = abs(float(np.trapezoid(pair.p_hat * pair.phi, grid)) - 1.0)
@@ -98,18 +98,15 @@ def _verify_imt_convergence(model):
     ]
 
 
-def predicted_fraction(config, t0: float) -> float:
-    """The labelled fraction F the scheme must give at t0, from its own arrival series.
+def predicted_fraction(out, config, t0: float) -> float:
+    """The labelled fraction F the scheme must give at t0, from the arrival series of its run
+    `out` = simulate(config).
 
     With Q empty at t = 0 and K = t0/dt steps, F = S / (S + D), where
     S = dt * sum_{k<K} quiescence_influx_k (1 - dt*mu_q)^(K-1-k) is the quiescent pool the
     arrivals leave at t0 and D = dt * sum_{k<K} births_k the mass that entered P.  Both
     series record arriving mass, so the newborns' arrival factors enter S and D alike.
     """
-    return _predicted(simulator.simulate(config), config, t0)
-
-
-def _predicted(out, config, t0: float) -> float:
     k = int(round(t0 / config.dt))
     decay = (1.0 - config.dt * config.quiescent_death_rate) ** np.arange(k - 1, -1, -1)
     s = config.dt * float(out.quiescence_influx[:k] @ decay)
@@ -134,7 +131,7 @@ def _verify_fraction(model):
         if death == 0.0:
             checks.append(Check(f"|F - f| < 1e-4 at f={f:g}, mu=0", err < 1e-4, err))
         else:
-            gap = abs(fraction - _predicted(out, config, t0))
+            gap = abs(fraction - predicted_fraction(out, config, t0))
             name = f"|F - F_pred| < 1e-12 at f={f:g}, mu={death:g}; shown: |F - f|"
             checks.append(Check(name, gap < 1e-12, err))
     return checks

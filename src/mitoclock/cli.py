@@ -46,12 +46,6 @@ checks, fitter, growth, histogram, inversion, simulator, svg = map(
 # to its own public functions (erfc, in every density evaluation) would be traced too
 
 
-def __getattr__(name):
-    if name == "SUITES":  # verify suite name -> suite(model), loaded with its checks
-        return checks.SUITES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _read_model(path):
     """The model in a model or fit-result JSON file, with the path in any ValidationError."""
     from .imt_models import model_from_json

@@ -257,17 +257,17 @@ def fit_imt(
 ) -> FitResult:
     """Fit a reweighted histogram with the chosen family's reweighted density.
 
-    Runs bounded least squares from `init` (or a default guess from the
-    histogram's moments), then from seeded jitters of it in turn, and stops
-    once two starts agree on the lowest cost found so far, to within
-    1e-10 * |heights|^2, or after `N_STARTS` starts.  Only a start that
+    Runs bounded least squares from `init`, the family's parameters in `PARAMS`
+    order (or a default guess from the histogram's moments), then from seeded
+    jitters of it in turn, and stops once two starts agree on the lowest cost
+    found so far, to within 1e-10 * |heights|^2, or after `N_STARTS` starts.  Only a start that
     converged with no parameter pinned at a bound counts toward agreement.
     For a family whose rate is 0 up to m, two more solves start from the best
     answer with m moved just below the bin midpoint below it and just above
     the midpoint above it.  Returns the lowest-cost answer of all solves.
-    `max_iter` caps the residual-and-Jacobian evaluations of each solve; a
-    solve that reaches it has not converged.  The seed, or MITOCLOCK_SEED
-    without one, must be a nonnegative integer.  Raises FitConvergenceError
+    `max_iter`, a positive integer, caps the residual-and-Jacobian evaluations
+    of each solve; a solve that reaches it has not converged.  The seed, or
+    MITOCLOCK_SEED without one, must be a nonnegative integer.  Raises FitConvergenceError
     (carrying the best result found) if no solve converges, and emits a
     BoundaryWarning when a fitted parameter is pinned at a bound.
     """
@@ -278,6 +278,8 @@ def fit_imt(
     if not h.heights.any():
         raise DegenerateInputError("histogram has no mass; there is nothing to fit")
     seed = _seed(seed)
+    if not (isinstance(max_iter, numbers.Integral) and max_iter > 0):
+        raise ValidationError(f"max_iter must be a positive integer, got {max_iter!r}")
     lam = h.lambda_used
     names = PARAMS[family]
     mids = h.midpoints
@@ -287,9 +289,14 @@ def fit_imt(
         density, partials = _density(family, theta, mids, lam, partials=True)
         return 2.0 * density - heights, 2.0 * partials.T
 
-    x0 = np.asarray(init, dtype=float) if init is not None else _default_init(family, h)
-    if x0.size != len(names):
-        raise ValidationError(f"{family} takes {len(names)} parameters {names}, got {x0.size}")
+    if init is None:
+        x0 = _default_init(family, h)
+    else:
+        try:
+            x0 = np.asarray(init, dtype=float).reshape(len(names))
+        except (TypeError, ValueError):
+            raise ValidationError(f"init: {family} takes {len(names)} parameters {names}, "
+                                  f"got {init!r}") from None
     lower = np.array([_LOWER[n] for n in names])
     x0 = np.maximum(x0, lower)
 

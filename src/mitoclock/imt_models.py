@@ -143,6 +143,8 @@ def model_from_json(text: str | bytes) -> Model:
 
     The JSON is a bare model object or a fit-result object that holds one under "model".
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValidationError(f"model JSON text must be a str or bytes, got {type(text).__name__}")
     try:
         payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError

@@ -21,7 +21,8 @@ two panels.  Each cell's adjoint source uses the same identity.
 
 Every grid is sized from the hazard alone (`build_grid`), so a rate is any callable
 with a `.hazard(ages)`; this module reads nothing else of it but a closed-form
-rate's `.model.m`, for that split.
+rate's `.model.m`, for that split.  `solve_lambda`, `equilibrium` and
+`renewal_residual` take a step and never a grid: each runs on build_grid(rate, step).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import ConfigurationError, ValidationError
 from .imt_models import _gauss_legendre
 from .io import check_number, write_columns
 
-SURVIVAL_TOL = 1e-12  # divergence check: exp(-hazard) must fall below this
+SURVIVAL_TOL = 1e-12  # a default grid ends where exp(-hazard) falls below this
 LAMBDA_MAX = 10.0
 MAX_ROOT_STEPS = 100  # regula falsi steps allowed before solve_lambda gives up
 DEFAULT_STEP = 0.05
@@ -158,26 +159,20 @@ def check_cell_count(a_max: float, step: float) -> None:
         raise ValidationError(f"a_max / step = {a_max / step:.3g} age cells > {MAX_CELLS}")
 
 
-def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP,
-                 grid: np.ndarray | None = None) -> float:
-    """Root of the renewal equation: the asymptotic growth rate lam = k* - mu.
+def solve_lambda(rate, mu: float, step: float = DEFAULT_STEP) -> float:
+    """Root of the renewal equation on build_grid(rate, step): the asymptotic growth rate
+    lam = k* - mu.
 
-    Requires a finite mu >= 0, a divergent division rate (survival below
-    SURVIVAL_TOL at the top of the grid) and lam <= LAMBDA_MAX.
+    Requires a finite mu >= 0, a rate that diverges within MAX_CELLS cells and
+    lam <= LAMBDA_MAX.
     """
-    if grid is None:
-        grid = build_grid(rate, step)
+    grid = build_grid(rate, step)
     mu = check_number(mu, "death rate mu", 0)
     return _root(_renewal_table(rate, grid), mu) - mu
 
 
 def _root(table: _RenewalTable, mu: float) -> float:
     """k* = mu + lam on a table that equilibrium reuses; mu sets only the bracket's cap."""
-    if math.exp(-table.hazard_top) >= SURVIVAL_TOL:
-        raise ConfigurationError(
-            f"division survival at the grid end ({math.exp(-table.hazard_top):.2e}) "
-            f"exceeds {SURVIVAL_TOL:g}; extend the grid or check the rate"
-        )
 
     def g(k):
         value = _renewal_value(table, k) - 1.0
@@ -185,7 +180,8 @@ def _root(table: _RenewalTable, mu: float) -> float:
             raise ConfigurationError(f"renewal function is {value} at k = mu + lambda = {k}")
         return value
 
-    return falsi_root(g, g(0.0), mu)  # g(0) = 1 - 2*survival > 0 by the divergence check
+    # g(0) = 1 - 2*survival at the grid's top > 0: build_grid ends there below SURVIVAL_TOL
+    return falsi_root(g, g(0.0), mu)
 
 
 def falsi_root(g, g0: float, mu: float) -> float:
@@ -219,23 +215,21 @@ def falsi_root(g, g0: float, mu: float) -> float:
     raise ConfigurationError(f"growth rate not bracketed to tolerance in {MAX_ROOT_STEPS} steps")
 
 
-def renewal_residual(rate, mu: float, lam: float, grid: np.ndarray) -> float:
-    """g(lam) for a given growth rate; zero at the solved eigenvalue."""
+def renewal_residual(rate, mu: float, lam: float, step: float = DEFAULT_STEP) -> float:
+    """g(lam) on build_grid(rate, step) for a given growth rate; zero at the solved eigenvalue."""
     k = check_number(mu, "death rate mu", 0) + check_number(lam, "growth rate lambda")
-    return _renewal_value(_renewal_table(rate, grid), k) - 1.0
+    return _renewal_value(_renewal_table(rate, build_grid(rate, step)), k) - 1.0
 
 
-def equilibrium(rate, mu: float, step: float = DEFAULT_STEP,
-                grid: np.ndarray | None = None) -> EigenPair:
-    """Growth rate, equilibrium age profile and adjoint weight on one grid.
+def equilibrium(rate, mu: float, step: float = DEFAULT_STEP) -> EigenPair:
+    """Growth rate, equilibrium age profile and adjoint weight on build_grid(rate, step).
 
     p_hat(a) is proportional to exp(-integral_0^a (beta + mu + lam)) with unit
     integral.  phi solves the adjoint problem backward from the top of the
     grid and is rescaled so integral(p_hat * phi) = 1; for a constant rate it
     is identically 1.
     """
-    if grid is None:
-        grid = build_grid(rate, step)
+    grid = build_grid(rate, step)
     mu = check_number(mu, "death rate mu", 0)
     table = _renewal_table(rate, grid)
     k = _root(table, mu)

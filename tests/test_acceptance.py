@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import mitoclock as mc
-from mitoclock import spectral
 from mitoclock.checks import SUITES, imt_windows
 
 FIT_ERFC = mc.Model(family="erfc", beta0=0.14204, m=24.456, sigma=3.3451)
@@ -180,10 +179,9 @@ def test_criterion_05_eigen_consistency():
     lam_const = mc.solve_lambda(constant, 0.0)
     assert lam_const == pytest.approx(0.5, abs=1e-10)
 
-    grid = spectral.build_grid(constant, step=0.05)
     delta = 0.0123
-    lam_mu = mc.solve_lambda(constant, 0.004, grid=grid)
-    lam_mu_shifted = mc.solve_lambda(constant, 0.004 + delta, grid=grid)
+    lam_mu = mc.solve_lambda(constant, 0.004, step=0.05)
+    lam_mu_shifted = mc.solve_lambda(constant, 0.004 + delta, step=0.05)
     assert lam_mu_shifted == pytest.approx(lam_mu - delta, abs=1e-10)
 
     rate = mc.ClosedFormRate(FIT_ERFC_MU)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import mitoclock as mc
-from mitoclock.cli import SUITES, build_parser, main
+from mitoclock.checks import SUITES
+from mitoclock.cli import build_parser, main
 from mitoclock.io import write_columns
 
 
@@ -399,7 +400,7 @@ commands += [["fit-imt", hist_csv, "--dt", "1.25", "--lambda", "0.022", "--famil
               "--out-prefix", out + "/fit_" + family] for family in mitoclock.FAMILIES]
 commands += [["invert", out + "/imt_density.csv", "--out-prefix", out + "/inv"]]
 commands += [["simulate", model_json, "--f", "0", "0.6", "--t-end", "10", "--out-prefix", out + "/s"]]
-commands += [["verify", model_json, "--suite", suite] for suite in mitoclock.cli.SUITES]
+commands += [["verify", model_json, "--suite", suite] for suite in mitoclock.checks.SUITES]
 for argv in commands:
     assert mitoclock.cli.main(argv) == 0, argv
     assert not loaded("scipy"), (argv, loaded("scipy"))

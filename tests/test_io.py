@@ -16,7 +16,9 @@ from mitoclock import (
     ValidationError,
     equilibrium,
     erfc_distance,
+    fit_imt,
     gre_functional,
+    model_from_json,
     quiescent_fraction,
     reweight,
     simulate,
@@ -122,6 +124,7 @@ CONFIG = SimConfig(rate=GAMMA1, mu=0.0, f=0.5, t_end=10.0)
 GRID = np.linspace(0.0, 60.0, 61)
 PROFILE = AgeProfile(GRID, np.ones(61))
 DENSITY = Histogram(bin_width=1.0, heights=np.array([0.5, 0.5]), kind=Kind.DENSITY)
+REWEIGHTED = reweight(DENSITY, 0.022)
 # one call per public number input, each given a value that is not a number or is out of range
 NOT_NUMBERS = {
     "quiescent_fraction-t0": lambda: quiescent_fraction(CONFIG, None),
@@ -135,7 +138,7 @@ NOT_NUMBERS = {
     "build_grid-a_max-nan": lambda: build_grid(GAMMA1, 0.05, math.nan),
     "solve_lambda-step": lambda: solve_lambda(GAMMA1, 0.0, step="0.05"),
     "equilibrium-step": lambda: equilibrium(GAMMA1, 0.0, step=None),
-    "renewal_residual-lambda": lambda: renewal_residual(GAMMA1, 0.0, None, GRID),
+    "renewal_residual-lambda": lambda: renewal_residual(GAMMA1, 0.0, None),
     "gre_functional-lambda": lambda: gre_functional(PROFILE, PROFILE, None, 1.0),
     "gre_functional-t": lambda: gre_functional(PROFILE, PROFILE, 0.0, "1"),
     "erfc_integral-m": lambda: erfc_integral(None, 1.0, 5.0),
@@ -147,6 +150,11 @@ NOT_NUMBERS = {
     "reweighted_density-lambda": lambda: reweighted_density(GAMMA1.model, None, GRID),
     "reweighted_density-lambda-nan": lambda: reweighted_density(GAMMA1.model, math.nan, GRID),
     "reweighted_mass-lambda": lambda: reweighted_mass(GAMMA1.model, None),
+    "model_from_json-int": lambda: model_from_json(123),
+    "fit_imt-init-str": lambda: fit_imt(REWEIGHTED, "gamma1", init="ab"),
+    "fit_imt-max_iter-str": lambda: fit_imt(REWEIGHTED, "gamma1", max_iter="x"),
+    "fit_imt-max_iter-None": lambda: fit_imt(REWEIGHTED, "gamma1", max_iter=None),
+    "fit_imt-max_iter-fraction": lambda: fit_imt(REWEIGHTED, "gamma1", max_iter=2.5),
 }
 
 
@@ -154,3 +162,13 @@ NOT_NUMBERS = {
 def test_every_entry_point_rejects_a_non_number(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("entry, name", [("model_from_json-int", "model JSON"),
+                                         ("fit_imt-init-str", "init"),
+                                         ("fit_imt-max_iter-str", "max_iter"),
+                                         ("fit_imt-max_iter-None", "max_iter"),
+                                         ("fit_imt-max_iter-fraction", "max_iter")])
+def test_a_rejected_argument_is_named(entry, name):
+    with pytest.raises(ValidationError, match=f"^{name}"):
+        NOT_NUMBERS[entry]()

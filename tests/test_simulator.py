@@ -558,7 +558,8 @@ def test_quiescent_fraction_matches_its_closed_form(mu, mu_q):
     rate = ClosedFormRate(Model(family="erfc-mu", beta0=0.2526, m=15.37, sigma=2.63, mu=0.0043))
     for f in (0.0, 0.3, 0.6, 0.84, 1.0):
         config = SimConfig(rate=rate, mu=mu, f=f, t_end=20.0, dt=0.05, mu_q=mu_q)
-        assert abs(quiescent_fraction(config, 20.0) - predicted_fraction(config, 20.0)) < 1e-12
+        predicted = predicted_fraction(simulate(config), config, 20.0)
+        assert abs(quiescent_fraction(config, 20.0) - predicted) < 1e-12
 
 
 def test_quiescent_fraction_horizon_check():

@@ -125,8 +125,7 @@ def test_death_rate_shift_identity_is_exact(family, m, sigma, beta0, mu):
     # the root is taken in k = mu + lambda, which does not depend on mu
     params = {"m": m, "sigma": sigma, **({"beta0": beta0} if family == "erfc" else {})}
     rate = ClosedFormRate(Model(family=family, **params))
-    grid = build_grid(rate, step=0.2)
-    assert solve_lambda(rate, mu, grid=grid) == solve_lambda(rate, 0.0, grid=grid) - mu
+    assert solve_lambda(rate, mu, step=0.2) == solve_lambda(rate, 0.0, step=0.2) - mu
 
 
 def test_growth_rate_is_positive_without_death():
@@ -142,17 +141,15 @@ def test_growth_rate_is_positive_without_death():
 @settings(max_examples=25, deadline=None)
 def test_death_rate_shift_identity(b0, mu, delta):
     rate = constant_rate(b0)
-    grid = build_grid(rate, step=0.05)
-    base = solve_lambda(rate, mu, grid=grid)
-    shifted = solve_lambda(rate, mu + delta, grid=grid)
+    base = solve_lambda(rate, mu, step=0.05)
+    shifted = solve_lambda(rate, mu + delta, step=0.05)
     assert shifted == pytest.approx(base - delta, abs=1e-10)
 
 
 def test_shift_identity_for_fitted_rate():
     rate = ClosedFormRate(FIT_ERFC_MU)
-    grid = build_grid(rate, step=0.05)
-    base = solve_lambda(rate, 0.00333, grid=grid)
-    shifted = solve_lambda(rate, 0.00333 + 0.01, grid=grid)
+    base = solve_lambda(rate, 0.00333, step=0.05)
+    shifted = solve_lambda(rate, 0.00333 + 0.01, step=0.05)
     assert shifted == pytest.approx(base - 0.01, abs=1e-10)
 
 
@@ -164,9 +161,8 @@ def test_fitted_rate_growth_matches_experiment():
 
 def test_renewal_residual_vanishes_at_solution():
     rate = ClosedFormRate(FIT_ERFC_MU)
-    grid = build_grid(rate, step=0.05)
-    lam = solve_lambda(rate, 0.00333, grid=grid)
-    assert abs(renewal_residual(rate, 0.00333, lam, grid)) < 1e-10
+    lam = solve_lambda(rate, 0.00333, step=0.05)
+    assert abs(renewal_residual(rate, 0.00333, lam, step=0.05)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -175,13 +171,13 @@ def test_renewal_residual_vanishes_at_solution():
 def test_renewal_residual_rejects_bad_rates(mu, lam):
     rate = ClosedFormRate(FIT_ERFC_MU)
     with pytest.raises(ValidationError):
-        renewal_residual(rate, mu, lam, build_grid(rate, step=0.05))
+        renewal_residual(rate, mu, lam, step=0.05)
 
 
 def test_renewal_value_is_decreasing_in_lambda():
     rate = ClosedFormRate(FIT_ERFC_MU)
-    grid = build_grid(rate, step=0.05)
-    values = [renewal_residual(rate, 0.00333, lam, grid) for lam in (-0.002, 0.0, 0.01, 0.02, 0.05, 0.1)]
+    lams = (-0.002, 0.0, 0.01, 0.02, 0.05, 0.1)
+    values = [renewal_residual(rate, 0.00333, lam, step=0.05) for lam in lams]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -204,13 +200,13 @@ def test_solve_lambda_matches_brentq():
     # a coarse grid keeps the reference cheap and changes neither algorithm
     for model, mu in _seeded_models():
         rate = ClosedFormRate(model)
-        grid = build_grid(rate, step=0.2)
-        lam = solve_lambda(rate, mu, grid=grid)
+        lam = solve_lambda(rate, mu, step=0.2)
         reference = optimize.brentq(
-            lambda x: renewal_residual(rate, mu, x, grid), -mu, LAMBDA_MAX, xtol=1e-14, rtol=8.9e-16
+            lambda x: renewal_residual(rate, mu, x, step=0.2), -mu, LAMBDA_MAX, xtol=1e-14,
+            rtol=8.9e-16
         )
         assert abs(lam - reference) <= 2e-14, model
-        assert abs(renewal_residual(rate, mu, lam, grid)) <= 1e-12, model
+        assert abs(renewal_residual(rate, mu, lam, step=0.2)) <= 1e-12, model
 
 
 @given(
@@ -271,12 +267,6 @@ def test_death_rate_that_is_not_a_number_is_a_validation_error(solve, mu):
         solve(ClosedFormRate(FIT_ERFC_MU), mu)
 
 
-def test_nondivergent_grid_rejected():
-    rate = ClosedFormRate(Model(family="erfc", beta0=0.14, m=24.0, sigma=3.3))
-    with pytest.raises(ConfigurationError):
-        solve_lambda(rate, 0.0, grid=np.linspace(0.0, 30.0, 601))
-
-
 def test_equilibrium_constant_rate_is_exponential_with_unit_adjoint():
     b0 = 0.5
     rate = constant_rate(b0)
@@ -301,7 +291,7 @@ def test_equilibrium_invariants_for_fitted_rate():
     tail = grid > FIT_ERFC_MU.m + 6.0 * FIT_ERFC_MU.sigma
     assert np.trapezoid(pair.p_hat[tail], grid[tail]) < 1e-4
     # renewal boundary identity, self-consistent quadrature
-    assert abs(renewal_residual(rate, 0.00333, pair.lam, grid)) < 1e-10
+    assert abs(renewal_residual(rate, 0.00333, pair.lam)) < 1e-10
     # and with the plain trapezoid (smooth rate, so this stays tight)
     births = 2.0 * np.trapezoid(np.asarray(rate(grid)) * pair.p_hat, grid)
     assert abs(pair.p_hat[0] - births) < 1e-6 * pair.p_hat[0]
@@ -311,7 +301,7 @@ def test_equilibrium_invariants_for_fitted_rate():
 def test_equilibrium_boundary_identity_for_kinked_rates(family):
     rate = ClosedFormRate(Model(family=family, m=17.0, sigma=2.0))
     pair = equilibrium(rate, 0.0)
-    assert abs(renewal_residual(rate, 0.0, pair.lam, pair.grid)) < 1e-10
+    assert abs(renewal_residual(rate, 0.0, pair.lam)) < 1e-10
     births = 2.0 * np.trapezoid(np.asarray(rate(pair.grid)) * pair.p_hat, pair.grid)
     assert abs(pair.p_hat[0] - births) < 1e-4 * pair.p_hat[0]
 
@@ -385,8 +375,19 @@ def test_build_grid_covers_a_slow_plateau_after_a_narrow_rise():
     grid = build_grid(rate, step=0.05)
     assert float(np.exp(-rate.hazard(grid[-1]))) < SURVIVAL_TOL
     assert 280.0 < grid[-1] < 290.0
-    pair = equilibrium(rate, 0.0, grid=grid)
-    assert abs(renewal_residual(rate, 0.0, pair.lam, grid)) < 1e-10
+    pair = equilibrium(rate, 0.0, step=0.05)
+    assert abs(renewal_residual(rate, 0.0, pair.lam, step=0.05)) < 1e-10
+
+
+@pytest.mark.parametrize("step", [0.05, 0.2])
+@pytest.mark.parametrize("model", [Model(family="gamma1", m=17.0, sigma=2.0), FIT_ERFC_MU],
+                         ids=["gamma1", "erfc-mu"])
+def test_every_eigen_solve_runs_on_build_grid(model, step):
+    rate, mu = ClosedFormRate(model), model.death_rate
+    pair = equilibrium(rate, mu, step)
+    np.testing.assert_array_equal(pair.grid, build_grid(rate, step))
+    assert solve_lambda(rate, mu, step) == pair.lam
+    assert abs(renewal_residual(rate, mu, pair.lam, step)) <= 1e-12
 
 
 class _ScalarReads:

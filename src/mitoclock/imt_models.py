@@ -69,7 +69,16 @@ _FIELDS = {"beta0": True, "m": False, "sigma": True, "mu": False}
 
 _SQRT_PI = math.sqrt(math.pi)
 _H_CAP = 1e100  # past h = x/sigma = 1e100 a gamma rate is 1/sigma, and its hazard h, to rounding
-_GL_RULE = np.polynomial.legendre.leggauss(16)
+# numpy.polynomial.legendre.leggauss(16) written out, so that no import loads numpy.polynomial
+_GL_RULE = (np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499]), np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]))
 
 
 def _gauss_legendre(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +392,9 @@ class ClosedFormRate:
 
     def __init__(self, model: Model):
         _closed_form(model)
-        self.model = model
+        self._model = model
+
+    model = property(lambda self: self._model)  # read-only: simulate's plans key on the rate
 
     def __call__(self, a):
         return division_rate(self.model, a)
@@ -399,18 +410,19 @@ class TabulatedRate:
     """Division rate given by linear interpolation of a table.
 
     Outside the table the rate is held at the nearest endpoint value; the
-    hazard integrates the interpolant exactly.
+    hazard integrates the interpolant exactly.  The table is copied, and read-only.
     """
 
     def __init__(self, ages, values):
-        ages, values = check_table(ages, values, 2, "rate table")
-        self.ages = ages
-        self.values = values
+        ages, values = map(np.array, check_table(ages, values, 2, "rate table"))
+        self.ages, self.values = ages, values
         inner = np.concatenate(
             ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(ages)))
         )
         # hazard accumulated from age 0, treating the rate as values[0] below the table
         self._node_hazard = inner + values[0] * ages[0]
+        for array in (ages, values, self._node_hazard):
+            array.flags.writeable = False
 
     def __call__(self, a):
         return np.interp(np.asarray(a, dtype=float), self.ages, self.values)

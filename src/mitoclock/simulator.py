@@ -50,6 +50,11 @@ L_k is too small to carry a start cell (a spike in the hazard, or steep death),
 the start from that cell on is solved on its own cells without births, anchored
 there, and its divisions feed the rest as a known source (`_renewal`).
 
+All that f leaves unchanged, the cells, k_d and the equilibrium start's runs with the near
+panel of the first, is one read-only plan per (rate, mu, dt, a_max), the rate by identity.
+One plan is kept, the last: the doses of a sweep come one after another.  scheme_growth_rate
+reads its k_d there; a custom start bypasses it and never solves for k_d.
+
 The labeled cohort of `imt_experiment` re-injects no daughters, so it needs no
 time loop: after k steps cell j holds m0[j-k] * exp(Lh_j - Lh_{j-k} - mu*dt*k),
 and its division observable over the window is one convolution (see there).
@@ -57,6 +62,7 @@ and its division observable over the window is one convolution (see there).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,13 +89,14 @@ START_SPAN = 2.0**64  # largest b_{-k} = m0_k / L_k, relative to the largest sta
 
 @dataclass(frozen=True)
 class CustomProfile:
-    """Start from an explicit tabulated density (zero outside its support)."""
+    """Start from an explicit tabulated density (zero outside its support), copied read-only."""
 
     ages: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        ages, values = check_table(self.ages, self.values, 2, "initial profile")
+        ages, values = map(np.array, check_table(self.ages, self.values, 2, "initial profile"))
+        ages.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "values", values)
 
@@ -177,6 +184,8 @@ class _CellGrid:
         removed = -np.expm1(-x)
         div_share = np.where(x > 0, dh / np.where(x > 0, x, 1.0), 0.0)
         self.div_frac = removed * div_share  # mass fraction dividing per step
+        for array in (self.centers, self.hazard, dh, self.keep, self.div_frac):
+            array.flags.writeable = False
 
 
 def _equilibrium_masses(cells: _CellGrid, k: float, t0: float | None = None):
@@ -248,7 +257,8 @@ def _neumann(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np.ndarray):
+def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np.ndarray,
+           near: np.ndarray):
     """b, d and P of d_n = source_n + sum_j K_j b_{n-j}, b_{n+1} = c*d_n, P_n = sum_j L_j b_{n-j}.
 
     start holds the virtual newborns b_{-k}.  Steps are taken BLOCK at a time: a block's
@@ -258,7 +268,8 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
     and multiplied at its start with the windows of all its blocks, whose newborns are
     then final.  The near panel, of lags < SLAB, is multiplied at the start of each
     superblock of SUPERBLOCK blocks with the windows of all its blocks, its own newborns
-    still 0, and then with those newborns, one block at a time.
+    still 0, and then with those newborns, one block at a time; it is given, as
+    _panel(kernel, survival, 0, min(SLAB, start.size)).
     """
     n_cells, base = start.size, steps + 1
     # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
@@ -273,7 +284,6 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
     solve = _neumann(np.where(inside, c * k_lag, 0.0))
     step = np.block([[solve, np.zeros((BLOCK, BLOCK))],
                      [np.where(inside, c * l_lag, 0.0) @ solve, np.eye(BLOCK)]])
-    near = _panel(kernel, survival, 0, min(SLAB, n_cells))
     far = [(lo, min(lo + SLAB, n_cells)) for lo in range(SLAB, n_cells, SLAB)]
     blocks = -(-base // BLOCK)
     forcing = np.zeros(blocks * BLOCK)
@@ -329,8 +339,9 @@ def _panel(kernel, survival, lo: int, hi: int, out=None) -> np.ndarray:
     return panel
 
 
-def _renewal(cells: _CellGrid, c: float, m0: np.ndarray, steps: int) -> list[_Run]:
-    """Renewal solves whose sum is the scheme run from the start masses m0.
+def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """(first, L, K, start) of each renewal run whose sum is the scheme run from the start
+    masses m0, and the near panel of the first run (see `_solve`); every array read-only.
 
     The start enters as virtual newborns b_{-k} = m0_k / L_k.  Where that would exceed
     START_SPAN times the largest start cell (L_k underflows past a spike in the hazard,
@@ -352,18 +363,37 @@ def _renewal(cells: _CellGrid, c: float, m0: np.ndarray, steps: int) -> list[_Ru
                   where=m0[first:end] > 0)
         anchors.append((first, survival, kernel, start))
         first = end
+    _, survival, kernel, _ = anchors[0]
+    near = _panel(kernel, survival, 0, min(SLAB, n_cells))
+    for array in (near, *(table for anchor in anchors for table in anchor[1:])):
+        array.flags.writeable = False
+    return anchors, near
+
+
+@functools.lru_cache(maxsize=1, typed=True)  # typed: a float32 mu is not a float's
+def _plan(rate, mu, dt: float, a_max: float | None):
+    """The cells, k_d and `_anchors` of the equilibrium start: all that f leaves unchanged."""
+    cells = _CellGrid(rate, mu, dt, a_max)
+    k = _growth_rate(cells, mu)
+    return cells, k, *_anchors(cells, _equilibrium_masses(cells, k))
+
+
+def _renewal(anchors: list[tuple], near: np.ndarray, c: float, steps: int) -> list[_Run]:
+    """The `_anchors` runs solved over steps, with births, of factor c, in the first alone."""
     runs = []
     source = np.zeros(steps + 1)
     for first, survival, kernel, start in anchors[1:]:
-        # no births: the start has left these cells after n_cells - first steps
-        span = min(steps, n_cells - first - 1)
-        w, d, p = _solve(survival, kernel, 0.0, start, span, np.zeros(span + 1))
+        # no births: the start has left these cells after start.size steps
+        span = min(steps, start.size - 1)
+        # built run by run: a plan that held these panels would keep 512 B per cell each
+        near_run = _panel(kernel, survival, 0, min(SLAB, start.size))
+        w, d, p = _solve(survival, kernel, 0.0, start, span, np.zeros(span + 1), near_run)
         pad = np.zeros(steps - span)
         runs.append(_Run(first, survival, np.concatenate((pad, w)), np.append(d, pad),
                          np.append(p, pad)))
         source += runs[-1].divisions
     _, survival, kernel, start = anchors[0]
-    return [_Run(0, survival, *_solve(survival, kernel, c, start, steps, source))] + runs
+    return [_Run(0, survival, *_solve(survival, kernel, c, start, steps, source, near))] + runs
 
 
 def _profile(runs: list[_Run], n: int, n_cells: int) -> np.ndarray:
@@ -424,20 +454,20 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
             f"snapshot_times must be an iterable of times, got {snapshot_times!r}") from None
     snap_times = [check_number(t, "snapshot time", 0, config.t_end) for t in requested]
     snap_steps = [int(round(t / dt)) for t in snap_times]
-    cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
     if config.initial is None:  # the scheme's own stable age distribution
-        m0 = _equilibrium_masses(cells, _growth_rate(cells, config.mu))
+        cells, _, anchors, near = _plan(config.rate, config.mu, dt, config.a_max)
     else:
-        m0 = _start_masses(config.initial, cells)
+        cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
+        anchors, near = _anchors(cells, _start_masses(config.initial, cells))
     f = config.f
     mu_q = config.quiescent_death_rate
     steps = int(round(config.t_end / dt))
-    n_cells = m0.size
+    n_cells = cells.centers.size
     # daughters take half a step of death on arrival (module docstring)
     newborn = 2.0 * (1.0 - f) * math.exp(-config.mu * dt / 2.0)
     into_q = 2.0 * f * math.exp(-mu_q * dt / 2.0)
 
-    runs = _renewal(cells, newborn, m0, steps)
+    runs = _renewal(anchors, near, newborn, steps)
     divisions = runs[0].divisions
     series_p = sum(run.p for run in runs)
     series_q = _quiescent(into_q * divisions, dt * mu_q)
@@ -460,7 +490,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
         N=total,
         births=newborn * divisions / dt,
         quiescence_influx=into_q * divisions / dt,
-        final_profile=AgeProfile(cells.centers, profiles[steps]),
+        final_profile=AgeProfile(cells.centers.copy(), profiles[steps]),
         snapshots=[(t, profiles[k]) for t, k in zip(snap_times, snap_steps)],
     )
 
@@ -469,10 +499,9 @@ def scheme_growth_rate(config: SimConfig) -> float:
     """lambda_d, the growth rate of the scheme's untreated newborn series, on config's cells.
 
     Where the grid reaches the rate's divergence range, lambda_d approaches solve_lambda's
-    lambda as O(dt^2).  f and the start do not enter.  Solved by `_growth_rate`.
+    lambda as O(dt^2).  f and the start do not enter.  Read from simulate's `_plan`.
     """
-    mu = config.mu
-    return _growth_rate(_CellGrid(config.rate, mu, config.dt, config.a_max), mu) - mu
+    return _plan(config.rate, config.mu, config.dt, config.a_max)[1] - config.mu
 
 
 def _growth_rate(cells: _CellGrid, mu: float) -> float:

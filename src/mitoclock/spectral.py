@@ -44,7 +44,11 @@ DEFAULT_STEP = 0.05
 NODES_PER_CELL = 4  # Gauss-Legendre nodes per grid cell in the renewal quadrature
 MAX_CELLS = 10**6  # most age cells (a_max / step) any grid may have
 _EXP_SPAN = 600.0  # largest rise of the survival exponent summed with one shift
-_CELL_RULE = np.polynomial.legendre.leggauss(NODES_PER_CELL)
+# leggauss(NODES_PER_CELL) of numpy.polynomial.legendre, written out as in imt_models
+_CELL_RULE = (np.array([-0.8611363115940526, -0.33998104358485626,
+                        0.33998104358485626, 0.8611363115940526]),
+              np.array([0.34785484513745357, 0.6521451548625464,
+                        0.6521451548625464, 0.34785484513745357]))
 
 
 class AgeProfile(NamedTuple):

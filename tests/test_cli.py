@@ -464,6 +464,8 @@ names = sorted(name.removeprefix("mitoclock.") for name in executed
 package = vars(sys.modules["mitoclock"])
 missing = [name for name in names if package.get(name) is not sys.modules["mitoclock." + name]]
 assert not missing, "not package attributes: " + str(missing)
+# numpy.polynomial costs each command ~6 ms to import; no command needs it
+assert "numpy.polynomial" not in sys.modules
 print(" ".join(names))
 """
 BASE = {"cli", "errors", "io"}

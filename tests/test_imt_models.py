@@ -30,6 +30,7 @@ from mitoclock import (
     model_from_json,
     reweighted_density,
     solve_lambda,
+    spectral,
 )
 from mitoclock.imt_models import _density, _emg_density, reweighted_mass
 
@@ -768,3 +769,25 @@ def test_tabulated_rate_validation():
         TabulatedRate([0.0, 1.0], [1.0, -1.0])
     with pytest.raises(ValidationError):
         TabulatedRate([0.0], [1.0])
+
+
+def test_rates_keep_their_tables_past_the_callers_edits():
+    # a simulation plan is shared by every run of one rate, so the rate must not change
+    values = np.array([0.0, 0.1, 0.2, 0.2])
+    rate = TabulatedRate([0.0, 10.0, 20.0, 40.0], values)
+    values[:] = 0.0
+    assert rate(15.0) == pytest.approx(0.15, rel=1e-15)
+    assert rate.hazard(15.0) == pytest.approx(1.125, rel=1e-15)
+    for table in (rate.ages, rate.values):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    closed = ClosedFormRate(FIT_ERFC)
+    with pytest.raises(AttributeError):
+        closed.model = FIT_ERFC_MU
+
+
+@pytest.mark.parametrize("rule, nodes", [(imt_models._GL_RULE, 16), (spectral._CELL_RULE, 4)])
+def test_quadrature_rules_are_numpys_gauss_legendre(rule, nodes):
+    # written out so that no import loads numpy.polynomial
+    for literal, computed in zip(rule, np.polynomial.legendre.leggauss(nodes)):
+        np.testing.assert_array_max_ulp(literal, computed, maxulp=1)

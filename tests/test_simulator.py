@@ -436,6 +436,8 @@ def test_small_blocks_cross_many_slabs_and_epochs(monkeypatch, name):
     # that a run crosses tens of slabs, epochs and superblocks
     for constant, value in (("BLOCK", 4), ("SUPERBLOCK", 4), ("SLAB", 32)):
         monkeypatch.setattr(simulator, constant, value)
+    # a plan's near panel has these sizes: it must be neither read from nor left to the cache
+    monkeypatch.setattr(simulator, "_plan", simulator._plan.__wrapped__)
     config = GOLDEN[name]
     assert config.t_end / config.dt > 2 * simulator.SLAB
     assert_matches_the_shift_loop(config, [0.0, config.t_end / 3, config.t_end])
@@ -734,6 +736,97 @@ def test_off_lattice_a_max_takes_the_grid_cells_and_keeps_its_value():
     assert cells.centers.size == build_grid(config.rate, 0.05, 10.03).size - 1 == 201
     with pytest.raises(GridTooSmallError, match=r"reached a_max = 10\.03 at t = "):
         simulate(config)
+
+
+# --- the set-up that the doses of one sweep share -------------------------
+
+def sweep(rate, doses, **settings) -> list:
+    """One SimConfig per dose f, all of one rate and settings."""
+    return [SimConfig(rate=rate, f=f, **settings) for f in doses]
+
+
+PLAN_SWEEPS = {
+    "reference": sweep(REFERENCE, (0.0, 0.6, 0.84), mu=0.00333, t_end=60.0),
+    "mu_q": sweep(REFERENCE, (0.3, 0.6), mu=0.00333, t_end=60.0, mu_q=0.1),
+    "a_max": sweep(REFERENCE, (0.0, 0.6), mu=0.00333, t_end=60.0, a_max=215.0),
+    "gamma1": sweep(ClosedFormRate(Model(family="gamma1", m=17.0, sigma=2.0)), (0.0, 0.6),
+                    mu=0.01, t_end=60.0),
+    "tabulated": sweep(TabulatedRate([0.0, 10.0, 20.0, 40.0], [0.0, 0.1, 0.2, 0.2]), (0.0, 0.6),
+                       mu=0.01, t_end=60.0, a_max=250.0),
+    # the start is split into tens of anchored runs (see GOLDEN)
+    "steep-death": sweep(REFERENCE, (0.3, 0.0), mu=19.9, t_end=90.0, dt=0.05, mu_q=0.0),
+}
+
+
+def output_arrays(out) -> list:
+    return [out.times, out.P, out.Q, out.N, out.births, out.quiescence_influx,
+            *out.final_profile, *(profile for _, profile in out.snapshots)]
+
+
+@pytest.mark.parametrize("configs", PLAN_SWEEPS.values(), ids=PLAN_SWEEPS)
+def test_runs_on_a_shared_plan_equal_runs_on_a_fresh_one_bit_for_bit(configs):
+    simulator._plan.cache_clear()
+    shared = [simulate(config, snapshot_times=[0.0, 30.0]) for config in configs]
+    assert simulator._plan.cache_info().hits == len(configs) - 1
+    for config, out in zip(configs, shared):
+        simulator._plan.cache_clear()
+        fresh = simulate(config, snapshot_times=[0.0, 30.0])
+        for a, b in zip(output_arrays(out), output_arrays(fresh), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # one renewal run, but tens of anchored runs under steep death
+    runs = len(simulator._plan(config.rate, config.mu, config.dt, config.a_max)[2])
+    assert runs > 10 if config.mu == 19.9 else runs == 1
+
+
+def test_a_dose_sweep_builds_its_cells_once(monkeypatch):
+    built = []
+
+    class CountedCells(_CellGrid):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulator, "_CellGrid", CountedCells)
+    # a rate of its own: no earlier test built its plan
+    configs = sweep(ClosedFormRate(FIT_ERFC_MU), (0.0, 0.3, 0.6), mu=FIT_ERFC_MU.mu, t_end=20.0)
+    for config in configs:
+        simulate(config)
+    # the gre suite's lambda_d is read from the same plan
+    assert scheme_growth_rate(configs[0]) == scheme_growth_rate(configs[-1])
+    assert len(built) == 1
+
+
+def test_writing_into_a_runs_output_leaves_the_next_run_unchanged():
+    config = SimConfig(rate=REFERENCE, mu=0.00333, f=0.6, t_end=20.0)
+    first = simulate(config, snapshot_times=[10.0])
+    expected = [array.copy() for array in output_arrays(first)]
+    for array in output_arrays(first):
+        array[...] = -1.0
+    for a, b in zip(output_arrays(simulate(config, snapshot_times=[10.0])), expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_custom_start_neither_solves_for_lambda_d_nor_reads_a_plan(monkeypatch):
+    def growth_rate(cells, mu):
+        raise AssertionError("a custom start solved for lambda_d")
+
+    monkeypatch.setattr(simulator, "_growth_rate", growth_rate)
+    before = simulator._plan.cache_info()
+    # cells up to 20 h, short of gamma2's divergence range: lambda_d would be a
+    # GridTooSmallError (test_cells_short_of_the_divergence_range_are_a_grid_too_small_error)
+    out = simulate(SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=5.0,
+                             a_max=20.0, initial=bump_profile()))
+    assert out.N[0] == pytest.approx(0.9, rel=1e-12)
+    assert simulator._plan.cache_info()[:2] == before[:2]  # no hit, no miss
+
+
+def test_a_custom_start_keeps_its_table_past_the_callers_edits():
+    ages, values = np.array([0.0, 10.0]), np.array([0.1, 0.1])
+    start = CustomProfile(ages, values)
+    ages[:], values[:] = (5.0, 6.0), 0.0
+    assert start.ages.tolist() == [0.0, 10.0] and start.values.tolist() == [0.1, 0.1]
+    with pytest.raises(ValueError, match="read-only"):
+        start.values[0] = 1.0
 
 
 # --- custom starts the cells cannot hold ----------------------------------

@@ -24,28 +24,18 @@ density times exp(-lam*a), and on request its partials in the parameters:
 `imt_density`, `reweighted_density`, the masses and the fitter's Jacobian all
 read it, and it alone tells emg from a table entry.
 
-Masses (a death family's norm, `reweighted_mass`) use one rule: 16-point
-Gauss-Legendre on panels at most sigma wide, split at m, over [lo, b = m + 40
-sigma], plus the tail f(b)/k, k = rate(b) + decay (emg: 2*beta0 + decay).
-That tail is exact for erfc and emg (erfc(-40) is 2.0 in double precision, so
-their densities are exponential past b); the gamma tails are below 4e-15.
-Below lo = max(0, m - 40 sigma) the density is 0 in double precision wherever
-exp(-decay*a) is finite: a gamma rate is 0 below m, and erfc(40) underflows.
-emg's density peaks at its mode m - beta0*sigma^2, so its lo is
-max(0, m - (40 + beta0*sigma)*sigma).  [lo, m] thus takes at most 40 panels
-(emg: 40 + beta0*sigma) whatever m/sigma, and exactly the ceil(m/sigma) of
-[0, m] when lo is 0.  Past 80, emg's panels are sigma wide only within 40
-sigma of its mode and of m, with one panel across each gap, where its density
-is 0 to rounding: exp(-decay*a) moves the integrand's peak by
-decay*sigma^2/2, more than 27 sigma only where the integrand overflows or is
-below exp(-729)*beta0.  A sigma that m + 40 sigma does not resolve (it rounds
-to m, or overflows) is a ValidationError.
+Masses (a death family's norm, `reweighted_mass`): emg's in closed form (`_emg_mass`), a
+closed form's by 16-point Gauss-Legendre on `_mass_edges` over [max(0, m - 40 sigma), b =
+m + 40 sigma] (below it the density is 0 where exp(-decay*a) is finite), plus the tail
+f(b)/(rate(b) + decay): exact for erfc (erfc(-40) is 2.0 in double precision), below
+4e-15 for a gamma at decay >= 0.  A sigma that m + 40 sigma does not resolve: ValidationError.
 
 Throughout, ages and times are in hours, rates in 1/hour.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -69,6 +59,7 @@ _FIELDS = {"beta0": True, "m": False, "sigma": True, "mu": False}
 
 _SQRT_PI = math.sqrt(math.pi)
 _H_CAP = 1e100  # past h = x/sigma = 1e100 a gamma rate is 1/sigma, and its hazard h, to rounding
+_S_STEP, _S_END = 8.0, 750.0  # most change of s over one mass panel; exp(-s) is 0 past _S_END
 # numpy.polynomial.legendre.leggauss(16) written out, so that no import loads numpy.polynomial
 _GL_RULE = (np.array([
     -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
@@ -121,8 +112,9 @@ class Model:
             if name not in PARAMS[self.family]:
                 if value is not None:
                     raise ValidationError(f"{self.family} takes no {name}")
-            else:
-                check_number(value, f"{self.family} {name}", 0, strict=positive)
+            else:  # kept as a float, which to_json can write
+                object.__setattr__(self, name, check_number(value, f"{self.family} {name}", 0,
+                                                            strict=positive))
 
     @property
     def death_rate(self) -> float:
@@ -256,6 +248,14 @@ def cumulative_hazard(model: Model, a):
         return _closed_form(model)(np.asarray(a, dtype=float), **_rate_params(model))[1]
 
 
+def _erfcx(z):
+    """exp(z^2)*erfc(z) for z > 26, of a float or elementwise, by its asymptotic series."""
+    series = 1.0
+    for k in range(7, 0, -1):  # sum over k < 8 of (-1)^k (2k-1)!! / (2z^2)^k
+        series = 1.0 - (2 * k - 1) * series / (2.0 * z * z)
+    return series / (z * _SQRT_PI)
+
+
 def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: float,
                  partials=False):
     # I(a)*exp(-decay*a), the decay inside the exponent, so that it cannot overflow where I
@@ -269,10 +269,7 @@ def _emg_density(beta0: float, m: float, sigma: float, a: np.ndarray, decay: flo
     out[near] = erfc(z[near]) * np.exp(bs * (2.0 * z[near] - bs) - decay * a[near])
     if not near.all():
         zf = z[~near]
-        series = 1.0
-        for k in range(7, 0, -1):  # sum over k < 8 of (-1)^k (2k-1)!! / (2z^2)^k
-            series = 1.0 - (2 * k - 1) * series / (2.0 * zf * zf)
-        out[~near] = np.exp(-((zf - bs) ** 2) - decay * a[~near]) * series / (zf * _SQRT_PI)
+        out[~near] = np.exp(-((zf - bs) ** 2) - decay * a[~near]) * _erfcx(zf)
     density = beta0 * out
     if not partials:
         return density
@@ -312,40 +309,69 @@ def _theta(model: Model) -> list:
     return [getattr(model, name) for name in PARAMS[model.family]]
 
 
+def _emg_mass(beta0: float, m: float, sigma: float, lam: float) -> float:
+    """Integral over [0, inf) of the emg density times exp(-lam*a), 2*beta0 + lam > 0.  emg is
+    N(m - beta0*sigma^2, sigma^2/2) plus an Exp(2*beta0) (Grushka, Anal. Chem. 44, 1972), so
+    with bs = beta0*sigma, d = m/sigma - bs, c = lam*sigma/2 this is beta0/(2*beta0 + lam) *
+    (erfc(c - d)*exp(c*(c - 2d)) + erfc(m/sigma)*exp(bs*(2m/sigma - bs))), each term as
+    erfcx(x)*exp(-d^2) where erfc(x) underflows; OverflowError if a term overflows."""
+    z0, bs, c = m / sigma, beta0 * sigma, lam * sigma / 2.0
+    d = z0 - bs
+    return beta0 / (2.0 * beta0 + lam) * sum(
+        math.erfc(x) * math.exp(exponent) if x <= 26.0 else _erfcx(x) * math.exp(-d * d)
+        for x, exponent in ((c - d, c * (c - 2.0 * d)), (z0, bs * (2.0 * z0 - bs))))
+
+
+def _mass_edges(edges: np.ndarray, s: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """edges (sigma wide, split at m) up to the tangent to s = hazard + decay*a from the last one
+    below _S_END, each panel cut into equal pieces over which s changes by at most _S_STEP.
+    s is convex (the rates rise): on a panel it falls by at most width * -slope at its start."""
+    j = np.count_nonzero(s < _S_END)  # s is below _S_END up to one edge, and never after it
+    if j == 0:
+        return edges[:1]
+    if j < s.size:
+        reach = (_S_END - s[j - 1]) / slope[j - 1] if slope[j - 1] > 0 else math.inf
+        edges = np.append(edges[:j], min(edges[j], edges[j - 1] + reach))
+        s, slope = np.append(s[:j], _S_END), slope[:j + 1]
+    width = np.diff(edges)
+    rise = np.abs(np.diff(s)) + 2.0 * width * np.maximum(0.0, -slope[:-1])
+    pieces = np.maximum(1, np.ceil(rise / _S_STEP)).astype(int)
+    return np.interp(np.arange(pieces.sum() + 1), np.append(0, np.cumsum(pieces)), edges)
+
+
 def _mass(model: Model, lam: float) -> float:
     """Integral over [0, inf) of _density(model's family and parameters, ., lam), by the
     rule of the module docstring; ValidationError if m + 40 sigma does not resolve sigma,
-    or if the tail's decay rate k is not positive."""
+    if the tail's decay rate k is not positive, or if the mass overflows."""
     m, sigma = model.m, model.sigma
     decay = model.death_rate + lam
     b = m + 40.0 * sigma
     if not m < b < math.inf:
         raise ValidationError(f"{model.family} sigma = {sigma:g} is out of scale with m = "
                               f"{m:g}: m + 40*sigma = {b:g}, so its mass cannot be taken")
-    # reach: how many sigmas below m the density can still be above 0 in double precision
     closed_form = _CLOSED_FORMS.get(model.family)
-    if closed_form is None:
-        rate_b, reach = 2.0 * model.beta0, 40.0 + model.beta0 * sigma
-    else:
-        rate_b, reach = float(closed_form(np.asarray(b), **_rate_params(model))[0]), 40.0
-    k = decay + rate_b
+    if closed_form is not None:
+        lo = max(0.0, m - 40.0 * sigma)
+        n = math.ceil(min((m - lo) / sigma, 40.0))
+        edges = np.concatenate((np.linspace(lo, m, n + 1)[:-1], np.linspace(m, b, 41)))
+        rate, hazard = closed_form(edges, **_rate_params(model))
+        s, slope = hazard + decay * edges, rate + decay
+    k = 2.0 * model.beta0 + decay if closed_form is None else slope[-1]
     if not k > 0:
         raise ValidationError(f"lambda = {lam:g} leaves the {model.family} density a tail "
                               f"that does not decay (rate {k:g} <= 0): its mass is infinite")
-    lo = max(0.0, m - reach * sigma)
-    n = math.ceil(min((m - lo) / sigma, reach))
-    if n <= 80:
-        left = np.linspace(lo, m, n + 1)[:-1]
-    else:  # emg with beta0*sigma > 40: sigma-wide panels near its mode and near m only
-        steps = sigma * np.arange(-40.0, 41.0)
-        mode = m - model.beta0 * sigma * sigma
-        left = np.unique(np.clip(np.concatenate(([lo], mode + steps, m + steps[:40])), lo, m))
-        left = left[left < m]
-    edges = np.concatenate((left, np.linspace(m, b, 41)))
-    ages, weights = _gauss_legendre(edges, _GL_RULE)
-    with np.errstate(over="ignore"):  # as in imt_density: an exponent that overflows is a 0
-        f = _density(model.family, _theta(model), np.append(ages.ravel(), b), lam)
-    return float(np.sum(weights * f[:-1].reshape(weights.shape))) + f[-1] / k
+    mass = math.inf  # where exp(-s) overflows at an edge, so does the mass, near s's minimum
+    if closed_form is None:
+        with contextlib.suppress(OverflowError):
+            mass = _emg_mass(model.beta0, m, sigma, lam)
+    elif not (s < -_S_END).any():
+        ages, weights = _gauss_legendre(_mass_edges(edges, s, slope), _GL_RULE)
+        with np.errstate(over="ignore", invalid="ignore"):  # a 0 * inf is a nan, caught below
+            f = _density(model.family, _theta(model), np.append(ages.ravel(), b), lam)
+        mass = float(np.sum(weights * f[:-1].reshape(weights.shape))) + f[-1] / k
+    if not math.isfinite(mass):
+        raise ValidationError(f"the {model.family} mass at lambda = {lam:g} overflows")
+    return mass
 
 
 def imt_density(model: Model, a):

@@ -113,13 +113,16 @@ class SimConfig:
     initial: CustomProfile | None = None  # None: the scheme's equilibrium profile, unit mass
 
     def __post_init__(self):
-        check_number(self.mu, "death rate mu", 0)
-        check_number(self.f, "quiescent fraction f", 0, 1)
+        keep = functools.partial(object.__setattr__, self)  # as floats: no float32 run
+        keep("mu", check_number(self.mu, "death rate mu", 0))
+        keep("f", check_number(self.f, "quiescent fraction f", 0, 1))
         t_end, dt = check_number(self.t_end, "t_end"), check_number(self.dt, "dt", 0, strict=True)
+        keep("t_end", t_end), keep("dt", dt)
         if self.a_max is not None:
-            spectral.check_cell_count(check_number(self.a_max, "a_max", 0, strict=True), dt)
+            keep("a_max", check_number(self.a_max, "a_max", 0, strict=True))
+            spectral.check_cell_count(self.a_max, dt)
         if self.mu_q is not None:
-            check_number(self.mu_q, "quiescent death rate mu_q", 0)
+            keep("mu_q", check_number(self.mu_q, "quiescent death rate mu_q", 0))
         if t_end < dt:
             raise ValidationError("t_end must cover at least one step")
         if t_end / dt > MAX_STEPS:
@@ -370,7 +373,7 @@ def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]
     return anchors, near
 
 
-@functools.lru_cache(maxsize=1, typed=True)  # typed: a float32 mu is not a float's
+@functools.lru_cache(maxsize=1)
 def _plan(rate, mu, dt: float, a_max: float | None):
     """The cells, k_d and `_anchors` of the equilibrium start: all that f leaves unchanged."""
     cells = _CellGrid(rate, mu, dt, a_max)

@@ -10,18 +10,18 @@ subtracted once, at the end.  The associated equilibrium age profile
 and its adjoint weight are tabulated on a uniform grid and normalized so that
 integral(p_hat) = 1 and integral(p_hat * phi) = 1.
 
-The renewal integral is taken by parts over the grid [0, A], with s = H + k*a,
+The renewal integral is taken by parts on [0, A], s = H + k*a, with beta(A) held past A,
 
-    2 * integral beta exp(-s) = 2 * (1 - exp(-s(A)) - k * integral exp(-s)),
+    2 * integral beta exp(-s) = 2 * (1 - exp(-s(A))*k/(beta(A) + k) - k * integral exp(-s)),
 
-on NODES_PER_CELL Gauss-Legendre nodes per grid cell, reading the hazard alone:
-exp(-s) is one derivative smoother than beta * exp(-s).  The gamma rates have a
+on NODES_PER_CELL Gauss-Legendre nodes per grid cell, reading the hazard (and beta(A))
+alone: exp(-s) is one derivative smoother than beta * exp(-s).  The gamma rates have a
 kink at m, so the cell that holds a closed-form rate's m is split there into
 two panels.  Each cell's adjoint source uses the same identity.
 
 Every grid is sized from the hazard alone (`build_grid`), so a rate is any callable
-with a `.hazard(ages)`; this module reads nothing else of it but a closed-form
-rate's `.model.m`, for that split.  `solve_lambda`, `equilibrium` and
+with a `.hazard(ages)`; this module reads nothing else of it but its value at A and a
+closed-form rate's `.model.m`, for that split.  `solve_lambda`, `equilibrium` and
 `renewal_residual` take a step and never a grid: each runs on build_grid(rate, step).
 """
 
@@ -93,6 +93,7 @@ class _RenewalTable(NamedTuple):
     cell: np.ndarray  # the grid cell each panel lies in
     top: float
     hazard_top: float
+    rate_top: float
 
 
 def _renewal_table(rate, grid: np.ndarray) -> _RenewalTable:
@@ -104,13 +105,15 @@ def _renewal_table(rate, grid: np.ndarray) -> _RenewalTable:
     cell = np.searchsorted(grid, edges[:-1], side="right") - 1
     hazard = np.asarray(rate.hazard(np.append(ages.ravel(), grid[-1])), dtype=float)
     return _RenewalTable(ages, weights, hazard[:-1].reshape(ages.shape), cell, grid[-1],
-                         hazard[-1])
+                         hazard[-1], float(rate(grid[-1])))
 
 
 def _renewal_value(table: _RenewalTable, k: float) -> float:
-    """2 * integral of beta * exp(-hazard - k*a) over the grid, by parts."""
+    """2 * integral of beta * exp(-hazard - k*a), by parts, the rate held at beta(A) past A."""
+    if not table.rate_top + k > 0:
+        raise ValidationError(f"k = mu + lambda = {k:g} leaves a renewal tail that does not decay")
     survival = np.exp(-(table.hazard + k * table.ages))
-    tail = float(np.exp(-(table.hazard_top + k * table.top)))
+    tail = float(np.exp(-(table.hazard_top + k * table.top))) * k / (table.rate_top + k)
     return 2.0 * (1.0 - tail - k * float(np.sum(table.weights * survival)))
 
 
@@ -184,7 +187,7 @@ def _root(table: _RenewalTable, mu: float) -> float:
             raise ConfigurationError(f"renewal function is {value} at k = mu + lambda = {k}")
         return value
 
-    # g(0) = 1 - 2*survival at the grid's top > 0: build_grid ends there below SURVIVAL_TOL
+    # g(0) = 1 > 0: at k = 0 every cell divides, within the grid or past its top
     return falsi_root(g, g(0.0), mu)
 
 

@@ -304,6 +304,17 @@ def test_mass_below_age_zero_is_zero_without_overflow_warning():
         assert reweighted_mass(emg, 0.0) == 0.0
 
 
+def test_parameters_are_kept_as_floats():
+    # to_json once raised TypeError on float32 parameters
+    single = Model(family="erfc-mu", beta0=np.float32(0.25), m=np.float32(24.0),
+                   sigma=np.float32(3.5), mu=np.float32(0.5))
+    assert single.to_json() == Model(family="erfc-mu", beta0=0.25, m=24.0, sigma=3.5,
+                                     mu=0.5).to_json()
+    integers = Model(family="gamma1", m=10, sigma=2)
+    assert all(type(value) is float for value in (single.beta0, single.m, single.sigma,
+                                                   single.mu, integers.m, integers.sigma))
+
+
 def model_of(family, m, sigma, beta0=0.2):
     """A model of the family at (m, sigma), with beta0 and mu 0.01 where it takes them."""
     names = imt_models.PARAMS[family]
@@ -327,11 +338,17 @@ def panels(monkeypatch):
 
 def piecewise_reference_mass(model, lam):
     """Mass of reweighted_density(model, lam, .) by scipy quad, cut within 60 sigma of m and
-    of emg's mode, so that no narrow peak lies inside a long interval."""
+    of emg's mode, so that no narrow peak lies inside a long interval, and at steps of
+    5/(rate(b) + |decay|) around m, so that no piece steps over the density's decay."""
     m, sigma = model.m, model.sigma
     mode = m - (model.beta0 * sigma * sigma if model.family == "emg" else 0.0)
+    decay = model.death_rate + lam
+    tail = (2.0 * model.beta0 if model.family == "emg"
+            else float(division_rate(model, m + 40.0 * sigma)))
+    steps = m + 5.0 / (tail + abs(decay)) * np.arange(-200, 201)
+    steps = steps[(steps > mode - 60 * sigma) & (steps < m + 60 * sigma)]
     cuts = sorted({max(0.0, c) for c in (0.0, mode - 60 * sigma, mode + 60 * sigma,
-                                         m - 60 * sigma, m, m + 60 * sigma)})
+                                         m - 60 * sigma, m, m + 60 * sigma, *steps)})
 
     def f(a):
         return float(reweighted_density(model, lam, a))
@@ -355,14 +372,14 @@ def test_a_sigma_that_m_plus_40_sigma_does_not_resolve_is_rejected(family, m, si
     assert panels == []
 
 
-# m/sigma 3e4 and 3e5 at sigma 1e-3: the density is 0 below m - 40 sigma (emg's below
-# m - (40 + beta0*sigma)*sigma), so the panel count does not grow with m/sigma
-BOUNDED_MASSES = [(model_of(family, m, 1e-3), 0.022, 81 if family == "emg" else 80)
+# m/sigma 3e4 and 3e5 at sigma 1e-3: the density is 0 below m - 40 sigma, so the panel
+# count does not grow with m/sigma; emg's mass is in closed form, with no panel
+BOUNDED_MASSES = [(model_of(family, m, 1e-3), 0.022, [] if family == "emg" else [80])
                   for family in FAMILIES for m in (30.0, 300.0)] + [
-    (Model(family="emg", beta0=10.0, m=1000.0, sigma=5.0), 0.0, 130),  # mode 750, lo 550
-    (Model(family="emg", beta0=10.0, m=1000.0, sigma=5.0), -0.05, 130),
-    (Model(family="emg", beta0=1.0, m=1e5, sigma=100.0), 0.01, 161),  # windows apart
-    (Model(family="emg", beta0=10.0, m=300.0, sigma=5.0), 0.0, 100),  # [0, m] in 60 panels
+    (Model(family="emg", beta0=10.0, m=1000.0, sigma=5.0), 0.0, []),
+    (Model(family="emg", beta0=10.0, m=1000.0, sigma=5.0), -0.05, []),
+    (Model(family="emg", beta0=1.0, m=1e5, sigma=100.0), 0.01, []),
+    (Model(family="emg", beta0=10.0, m=300.0, sigma=5.0), 0.0, []),
 ]
 
 
@@ -371,8 +388,79 @@ BOUNDED_MASSES = [(model_of(family, m, 1e-3), 0.022, 81 if family == "emg" else 
                               for p, lam, _ in BOUNDED_MASSES])
 def test_masses_take_a_bounded_number_of_panels(model, lam, count, panels):
     mass = reweighted_mass(model, lam)
-    assert panels == [count]
+    assert panels == count
     assert mass == pytest.approx(piecewise_reference_mass(model, lam), rel=1e-10)
+
+
+# references to 13 digits: at lambda 0 an erfc rate without death divides every cell, so
+# its mass is 2; the others are mpmath quadratures at 30 digits
+DECAY_MASSES = [
+    (Model(family="erfc", beta0=0.1, m=10.0, sigma=1000.0), 0.02, 1.6661275970449),
+    (Model(family="erfc", beta0=0.1, m=10.0, sigma=1000.0), 0.0, 2.0),
+    (Model(family="erfc", beta0=1.0, m=10.0, sigma=100.0), 0.0, 2.0),
+    (Model(family="erfc", beta0=0.1, m=10.0, sigma=1e300), 0.0, 2.0),
+    (Model(family="erfc", beta0=1.0, m=1e5, sigma=1000.0), 0.0, 2.0),
+    (Model(family="gamma1", m=10.0, sigma=1e4), 0.02, 4.0530222176579e-5),
+]
+
+
+@pytest.mark.parametrize("model, lam, expected", DECAY_MASSES)
+def test_panels_follow_a_decay_much_faster_than_sigma(model, lam, expected):
+    # sigma-wide panels alone gave 1.99988 and 1.264 for the second and fourth rows,
+    # and a gamma1 mass 13 % high
+    assert reweighted_mass(model, lam) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    Model(family="gamma1", m=10.0, sigma=1e4), Model(family="gamma2", m=0.0, sigma=0.1),
+    Model(family="gamma1", m=30.0, sigma=1e-3),
+    Model(family="erfc", beta0=2.0, m=10.0, sigma=0.05),
+    Model(family="erfc", beta0=10.0, m=30.0, sigma=1.0),
+    Model(family="erfc", beta0=1.0, m=1e4, sigma=100.0),  # beta0*sigma 100
+    Model(family="erfc", beta0=100.0, m=5.0, sigma=2.0),  # 200
+    Model(family="erfc", beta0=0.5, m=300.0, sigma=2000.0),  # 1000
+], ids=lambda p: f"{p.family}-m{p.m:g}-sigma{p.sigma:g}")
+def test_a_closed_form_without_death_has_mass_two(model):
+    # 2 * integral of rate * exp(-hazard) = 2 * (1 - exp(-hazard(inf))) = 2
+    assert reweighted_mass(model, 0.0) == pytest.approx(2.0, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("model, lam, count", [
+    (Model(family="erfc", beta0=0.05, m=10.0, sigma=0.3), 0.01, 74),  # narrow: no cut
+    (Model(family="erfc", beta0=0.1, m=10.0, sigma=1000.0), 0.02, 97),  # wide
+    (Model(family="erfc", beta0=1.0, m=1e4, sigma=100.0), 0.0, 134),  # beta0*sigma 100
+    # lambda < -mu: s = hazard + (mu + lambda)*a falls, then rises within one panel
+    (Model(family="erfc", beta0=0.1, m=10.0, sigma=1000.0), -0.15, 119),
+], ids=["narrow", "wide", "beta0-sigma-100", "falls-then-rises"])
+def test_panels_are_cut_where_the_decay_needs_it(model, lam, count, panels):
+    mass = reweighted_mass(model, lam)
+    assert panels == [count]
+    assert mass == pytest.approx(piecewise_reference_mass(model, lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta0, m, sigma, lam", [
+    (0.2, 22.0, 2.5, 0.022), (0.375, 5.0, 5.0, 0.0), (0.375, 5.0, 5.0, 0.03),
+    (0.1, 30.0, 3.0, -0.02), (0.05, 20.0, 1.0, -0.09), (10.0, 1000.0, 5.0, -0.05),
+    (10.0, 300.0, 5.0, 0.0),
+])
+def test_emg_mass_is_in_closed_form(beta0, m, sigma, lam, panels):
+    model = Model(family="emg", beta0=beta0, m=m, sigma=sigma)
+    mass = reweighted_mass(model, lam)
+    assert panels == []
+    assert mass == pytest.approx(piecewise_reference_mass(model, lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("model, lam", [
+    (Model(family="emg", beta0=1.0, m=1000.0, sigma=1.0), -1.9),
+    (Model(family="erfc", beta0=1.0, m=1000.0, sigma=1.0), -1.9),
+    (Model(family="gamma1", m=1000.0, sigma=1.0), -0.9),
+], ids=["emg", "erfc", "gamma1"])
+def test_a_mass_that_overflows_is_rejected(model, lam):
+    # each tail decays, but exp(-lam*a) grows past the double range before it does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="overflows"):
+            reweighted_mass(model, lam)
 
 
 def shifted_gamma_pdf(k):

@@ -1058,3 +1058,14 @@ def test_imt_experiment_gap_is_finite_under_steep_death(model, mu, t0, big_t):
         profile, gap = imt_experiment(rate, mu, t0, big_t)
     assert math.isfinite(gap) and 0.0 <= gap <= 2.0
     assert profile.values.sum() * 0.025 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_numbers_are_kept_as_floats():
+    # a float32 mu once made the cells' mu * dt a float32 product, and N moved 1.5e-7
+    runs = [simulate(SimConfig(rate=ClosedFormRate(FIT_ERFC_MU), mu=mu, f=0.3, t_end=20.0))
+            for mu in (np.float32(0.5), 0.5)]
+    np.testing.assert_array_equal(runs[0].N, runs[1].N)
+    config = SimConfig(rate=ClosedFormRate(FIT_ERFC), mu=np.float32(0.5), f=np.float32(0.25),
+                       t_end=20, dt=np.float32(0.25), a_max=90, mu_q=np.float32(0.5))
+    assert all(type(getattr(config, name)) is float
+               for name in ("mu", "f", "t_end", "dt", "a_max", "mu_q"))

@@ -236,6 +236,32 @@ def test_growth_rate_gives_unit_reweighted_mass(family, m, sigma, beta0, mu):
     assert abs(reweighted_mass(model, lam) - 1.0) <= tol
 
 
+def test_the_renewal_tail_puts_the_growth_rate_on_the_unit_mass_root():
+    # the renewal integral holds the rate at beta(A) past the grid's top A; without that
+    # tail these masses were up to 8.7e-13 from 1.  Sigmas near the 0.05 h step are left
+    # out: there the error is the cells' resolution, with the tail or without it
+    rng = np.random.default_rng(31)
+    for family in ("gamma1", "gamma2", "erfc", "erfc-mu"):
+        for _ in range(25):
+            params = {"m": rng.uniform(0.0, 30.0), "sigma": rng.uniform(0.3, 5.0)}
+            if family.startswith("erfc"):
+                params["beta0"] = rng.uniform(0.05, 1.0)
+            if family == "erfc-mu":
+                params["mu"] = rng.uniform(0.0, 0.05)
+            model = Model(family=family, **params)
+            lam = solve_lambda(ClosedFormRate(model), model.death_rate)
+            assert abs(reweighted_mass(model, lam) - 1.0) <= 1e-13, model
+
+
+def test_a_renewal_tail_that_does_not_decay_is_rejected():
+    # past the grid's top the rate is held at 2*beta0 = 0.358, so k = mu + lambda must
+    # exceed -0.358 there
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    assert math.isfinite(renewal_residual(rate, FIT_ERFC_MU.mu, -0.3))
+    with pytest.raises(ValidationError, match="does not decay"):
+        renewal_residual(rate, FIT_ERFC_MU.mu, -0.4)
+
+
 class _NanHazard(ClosedFormRate):
     """A divergent rate whose hazard evaluates to NaN."""
 

@@ -381,12 +381,20 @@ def imt_density(model: Model, a):
     and hazard, I(a) = rate(a)*exp(-hazard(a) - mu*a) / norm, where norm is 1
     without death (the density then integrates to 1 exactly) and is computed
     by `_mass` for a family with a death rate.  Where the hazard overflows, far past m,
-    the survival exp(-hazard) and with it the density are 0.
+    the survival exp(-hazard) and with it the density are 0.  A norm below the normal
+    doubles (steep death long before the rate rises) is a ValidationError: rate and
+    survival, each underflowing there, cannot be normalized.
     """
     ages = check_ages(a)
     with np.errstate(over="ignore"):
         density = _density(model.family, _theta(model), ages, 0.0)
-    return density if model.mu is None else density / _mass(model, 0.0)
+    if model.mu is None:
+        return density
+    norm = _mass(model, 0.0)
+    if not norm >= np.finfo(float).tiny:
+        raise ValidationError(f"the {model.family} density's norm, {norm:.3g}, is below the "
+                              f"double range at mu = {model.mu:g}: it cannot be normalized")
+    return density / norm
 
 
 def reweighted_density(model: Model, lam: float, a):

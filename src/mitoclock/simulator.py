@@ -29,10 +29,7 @@ when it has aged into cell j, so the division mass d_n and P_n of step n are
 
     d_n = sum_j K_j b_{n-j},   b_{n+1} = 2(1-f) exp(-mu*dt/2) d_n,   P_n = sum_j L_j b_{n-j};
 
-the start enters as virtual newborns b_{-k} = m0_k / L_k.  The equilibrium start is
-the scheme's own eigenvector, m0_j proportional to L_j exp(-lambda_d*dt*j), lambda_d the
-root of its renewal sum on the run's cells (`_growth_rate`): its b_{-k} are geometric, so
-an untreated run grows as exp(lambda_d*t) from t = 0 to rounding.  Cell j of a profile
+a custom start enters as virtual newborns b_{-k} = m0_k / L_k.  Cell j of a profile
 is L_j * b_{n-j}, the top cell at step n is L_{J-1} * b_{n-J+1} (its keep is
 never used: its content leaves the window), and Q keeps its recursion.  The
 equation is solved BLOCK steps at a time: inside a block exactly, by one
@@ -41,19 +38,29 @@ BLAS products of Hankel panels of K and L, a SLAB of lags each, against finished
 blocks of b.  Lags past the first slab reach only newborns made SLAB steps before,
 so those slabs take the windows of a whole epoch of SLAB steps in one product; the
 first slab takes those of a superblock in one product, and the rest of the
-superblock's own blocks one product each.  K, L, b and every matrix are
-nonnegative, so every sum is of nonnegative terms and each output is accurate
-relative to itself: births that are exactly 0 before the first division stay
-exactly 0.  An FFT convolution would be O(N log N) but its error is absolute,
+superblock's own blocks one product each.  Only lags that can reach a nonzero newborn
+are multiplied.  K, L, b and every matrix are nonnegative, so every sum is of
+nonnegative terms and each output is accurate relative to itself: births that are
+exactly 0 before the first division stay exactly 0.  An FFT convolution would be O(N log N) but its error is absolute,
 relative to the largest term, and turns those zeros into +-1e-20 noise.  Where
-L_k is too small to carry a start cell (a spike in the hazard, or steep death),
+L_k is too small to carry a custom start cell (a spike in the hazard, or steep death),
 the start from that cell on is solved on its own cells without births, anchored
-there, and its divisions feed the rest as a known source (`_renewal`).
+there, and its divisions feed the rest as a known source (`_anchors`, `START_SPAN`,
+`_renewal`): this serves custom starts alone.
 
-All that f leaves unchanged, the cells, k_d and the equilibrium start's runs with the near
-panel of the first, is one read-only plan per (rate, mu, dt, a_max), the rate by identity.
-One plan is kept, the last: the doses of a sweep come one after another.  scheme_growth_rate
-reads its k_d there; a custom start bypasses it and never solves for k_d.
+The equilibrium start is the scheme's own eigenvector, m0_j proportional to
+Lt_j exp(-k_d*dt*j), with Lt the death-free survival, k_d = mu + lambda_d and lambda_d the
+root of its renewal sum on the run's cells (`_growth_rate`), so an untreated run grows as
+exp(lambda_d*t) from t = 0 to rounding.  After n steps it holds cells j >= n as
+m0_j exp(lambda_d*dt*n), and its divisions and mass are closed-form series of the plan
+(`_equilibrium_start`), with no anchored run at any mu.  Each dose then solves its own
+births alone: one renewal solve from an empty history, with the start's divisions as its
+source (`_births`), whose early blocks multiply only the lags their few newborns reach.
+
+All that f leaves unchanged, the cells, L and K with their near panel and the equilibrium
+start, is one read-only plan per (rate, mu, dt, a_max), the rate by identity.  One plan is
+kept, the last: the doses of a sweep come one after another.  scheme_growth_rate reads its
+k_d there; a custom start bypasses it and never solves for k_d.
 
 The labeled cohort of `imt_experiment` re-injects no daughters, so it needs no
 time loop: after k steps cell j holds m0[j-k] * exp(Lh_j - Lh_{j-k} - mu*dt*k),
@@ -84,7 +91,7 @@ SLAB = 4096  # age cells per panel slab, and steps per epoch: scratch stays near
 # An epoch is whole superblocks, so it starts where a superblock does, and every newborn
 # that a far slab (lags >= SLAB) reads over the whole epoch is then final
 assert SLAB % (BLOCK * SUPERBLOCK) == 0, "SLAB must be a multiple of BLOCK * SUPERBLOCK"
-START_SPAN = 2.0**64  # largest b_{-k} = m0_k / L_k, relative to the largest start cell
+START_SPAN = 2.0**64  # custom starts: largest b_{-k} = m0_k / L_k, relative to the largest cell
 
 
 @dataclass(frozen=True)
@@ -191,16 +198,16 @@ class _CellGrid:
             array.flags.writeable = False
 
 
-def _equilibrium_masses(cells: _CellGrid, k: float, t0: float | None = None):
-    """Unit-total cell masses proportional to exp(-(H(c_j) + k*c_j)), cut to c_j <= t0.
+def _equilibrium_masses(cells: _CellGrid, k: float, t0: float):
+    """imt_experiment's cohort: unit-total cell masses proportional to exp(-(H(c_j) + k*c_j)),
+    cut to c_j <= t0, with t0 at or past the first cell centre.
 
-    k = mu + lambda is the renewal root.  The masses are taken relative to the first cell,
-    whose weight is 1, so neither k >= 0 nor a steep hazard can underflow them all.
+    k = mu + lambda is the continuous renewal root.  The masses are taken relative to the
+    first cell, whose weight is 1, so neither k >= 0 nor a steep hazard can underflow them.
     """
     ages = cells.centers - cells.centers[0]
-    weights = np.exp(cells.hazard[0] - cells.hazard - k * ages)
-    if t0 is not None:
-        weights = np.where(cells.centers <= t0, weights, 0.0)
+    weights = np.where(cells.centers <= t0, np.exp(cells.hazard[0] - cells.hazard - k * ages),
+                       0.0)
     return weights / weights.sum()
 
 
@@ -264,17 +271,22 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
            near: np.ndarray):
     """b, d and P of d_n = source_n + sum_j K_j b_{n-j}, b_{n+1} = c*d_n, P_n = sum_j L_j b_{n-j}.
 
-    start holds the virtual newborns b_{-k}.  Steps are taken BLOCK at a time: a block's
-    d and P are one product of [[(I - c*T0)^-1, 0], [c*TL (I - c*T0)^-1, I]] with its
-    history sums of K and L.  Those come from Hankel panels of K and L (2*BLOCK rows,
-    SLAB lags each).  A far panel, of lags >= SLAB, is built once per epoch of SLAB steps
-    and multiplied at its start with the windows of all its blocks, whose newborns are
-    then final.  The near panel, of lags < SLAB, is multiplied at the start of each
-    superblock of SUPERBLOCK blocks with the windows of all its blocks, its own newborns
-    still 0, and then with those newborns, one block at a time; it is given, as
-    _panel(kernel, survival, 0, min(SLAB, start.size)).
+    start holds the virtual newborns b_{-k}; all 0 is an empty history, where source
+    carries the start.  Steps are taken BLOCK at a time: a block's d and P are one product
+    of [[(I - c*T0)^-1, 0], [c*TL (I - c*T0)^-1, I]] with its history sums of K and L.
+    Those come from Hankel panels of K and L (2*BLOCK rows, SLAB lags each).  A far panel,
+    of lags >= SLAB, is built once per epoch of SLAB steps and multiplied at its start with
+    the windows of all its blocks, whose newborns are then final.  The near panel, of lags
+    < SLAB, is multiplied at the start of each superblock of SUPERBLOCK blocks with the
+    windows of all its blocks, its own newborns still 0, and then with those newborns, one
+    block at a time; it is given, as _panel(kernel, survival, 0, min(SLAB, start.size)).
+    Only lags that can reach a nonzero newborn are multiplied: with b_{-k} = 0 for k >=
+    reach, the near panel's up to the end of the superblock plus reach, and each far slab's
+    up to the end of the epoch plus reach.
     """
     n_cells, base = start.size, steps + 1
+    nonzero = np.flatnonzero(start)
+    reach = int(nonzero[-1]) + 1 if nonzero.size else 0
     # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
     # past `steps`, the tail pads the last slab's windows
     w = np.zeros(BLOCK + base + n_cells + SLAB)
@@ -309,8 +321,13 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
     for top in range(0, base, BLOCK * SUPERBLOCK):
         if top % SLAB == 0:  # an epoch: its far slabs read only newborns made before it
             for lo, hi in far:
-                add_history(top, SLAB, lo, hi, _panel(kernel, survival, lo, hi, scratch[span:]))
-        add_history(top, BLOCK * SUPERBLOCK, 0, near.shape[1], near)
+                hi = min(hi, top + SLAB + reach)
+                if lo < hi:
+                    panel = _panel(kernel, survival, lo, hi, scratch[span:])
+                    add_history(top, SLAB, lo, hi, panel)
+        if top or reach:  # else the superblock's windows hold no newborn yet
+            cols = min(near.shape[1], top + BLOCK * SUPERBLOCK + reach)
+            add_history(top, BLOCK * SUPERBLOCK, 0, cols, near[:, :cols])
         starts = range(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK)
         history = out[top // BLOCK:top // BLOCK + len(starts)]
         for g, n0 in enumerate(starts):
@@ -343,8 +360,9 @@ def _panel(kernel, survival, lo: int, hi: int, out=None) -> np.ndarray:
 
 
 def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """(first, L, K, start) of each renewal run whose sum is the scheme run from the start
-    masses m0, and the near panel of the first run (see `_solve`); every array read-only.
+    """(first, L, K, start) of each renewal run whose sum is the scheme run from the custom
+    start masses m0, and the near panel of the first run (see `_solve`); every array
+    read-only.  The equilibrium start needs none (`_equilibrium_start`).
 
     The start enters as virtual newborns b_{-k} = m0_k / L_k.  Where that would exceed
     START_SPAN times the largest start cell (L_k underflows past a spike in the hazard,
@@ -357,8 +375,7 @@ def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]
     anchors = []
     first = 0
     while first < n_cells:
-        survival = np.cumprod(np.concatenate(([1.0], cells.keep[first:-1])))  # L from `first`
-        kernel = cells.div_frac[first:] * survival
+        survival, kernel = _tables(cells, first)
         over = np.flatnonzero(m0[first:] > survival * scale)
         end = n_cells if over.size == 0 else first + int(over[0])
         start = np.zeros(n_cells - first)
@@ -373,12 +390,130 @@ def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]
     return anchors, near
 
 
+def _tables(cells: _CellGrid, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """L_j and K_j = div_frac_j * L_j of a run on the cells from `first` on."""
+    survival = np.cumprod(np.concatenate(([1.0], cells.keep[first:-1])))
+    return survival, cells.div_frac[first:] * survival
+
+
+class _Start(NamedTuple):
+    """The equilibrium start m0 and its part of every run (`_equilibrium_start`).
+
+    After n < J steps it holds cells j >= n as m0_{j-n} * L_j / L_{j-n} (`masses`), a
+    product of the cells' own keep, so it rounds as the scheme's steps do.  The closed form
+    m0_j * exp(lambda_d*dt*n), equal in exact arithmetic, drifts from them by up to n*eps
+    where keep is constant (the rate's plateau): 7e-14 relative after 9 000 steps.  L is
+    kept as mantissa * 2**exponent (`_scaled_survival`), which no death rate underflows.
+    series holds, for steps n < J, the start's divisions S_d, its mass S_p and its top
+    cell; it has left the cells by step J.
+    """
+
+    m0: np.ndarray
+    mantissa: np.ndarray
+    exponent: np.ndarray
+    series: np.ndarray
+    k: float  # k_d = mu + lambda_d
+
+    def masses(self, n: int) -> np.ndarray:
+        """Cells n.. after n steps."""
+        cells = np.arange(n, self.m0.size)
+        return self.m0[:cells.size] * self.survival(cells, cells - n)
+
+    def survival(self, to: np.ndarray, of: np.ndarray) -> np.ndarray:
+        """L_to / L_of: 1 where to is of, 0 past a keep of 0."""
+        below = self.mantissa[of]
+        ratio = np.divide(self.mantissa[to], below, out=np.equal(to, of) * 1.0, where=below > 0)
+        return np.ldexp(ratio, self.exponent[to] - self.exponent[of])
+
+
+def _scaled_survival(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L_j = prod_{i<j} keep_i as mantissa_j * 2**exponent_j, which no death rate underflows.
+
+    The frexp fractions of keep, each in [0.5, 1), are multiplied 512 at a time, and each
+    block's running product is renormalized, so a mantissa stays above 2**-513.  The
+    factors are the cells' own keep, so L_j / L_{j-n} rounds as the scheme's n steps do.
+    """
+    width = 512
+    fractions, exponents = np.frexp(np.concatenate(([1.0], keep[:-1])))
+    blocks = -(-fractions.size // width)
+    inner = np.ones(blocks * width)
+    inner[:fractions.size] = fractions
+    inner = np.cumprod(inner.reshape(blocks, width), axis=1)
+    carries, shifts = np.empty(blocks), np.zeros(blocks, dtype=int)
+    carry, shift = 1.0, 0
+    for block, last in enumerate(inner[:, -1].tolist()):
+        carries[block], shifts[block] = carry, shift
+        carry, gained = math.frexp(carry * last)
+        shift += gained
+    mantissa = (inner * carries[:, None]).ravel()[:fractions.size]
+    return mantissa, np.cumsum(exponents) + np.repeat(shifts, width)[:fractions.size]
+
+
+def _equilibrium_start(cells: _CellGrid, k: float, mu: float) -> _Start:
+    """The scheme's own stable start, unit total, for k = mu + lambda_d (`_growth_rate`).
+
+    m0_j = C * Lt_j * exp(-k*dt*j), with Lt the death-free survival, the cumprod of exp(-dh),
+    is the eigenvector of the step itself: one step maps it to exp(lambda_d*dt) * m0.  Its
+    divisions and mass at step n are S[n] = exp(lambda_d*dt*n) * sum_{j>=n} x_j m0_j, x the
+    division fraction or 1.  They are taken as exp(-mu*dt*n) * U[n], where U[n] = sum_{j>=n}
+    x_j C Lt_j exp(-k*dt*(j - n)) follows U[n] = x_n C Lt_n + exp(-k*dt) U[n+1] from the top
+    cell down (`_quiescent`'s recursion).  k >= 0, mu >= 0 and Lt never rises, so U <= 1 and
+    every factor is <= 1: no intermediate over- or underflows where S is representable.
+    exp(-mu*dt*n) is taken to an ulp or two, from mu*dt split into a 24-bit head and its
+    rest, whose products with n < 2**29 are exact: the rounded product itself would be off
+    by up to 0.5*eps*mu*dt*n, ~1e-13 relative on a steep-death run.
+    """
+    dt, n_cells = cells.dt, cells.dh.size
+    free = np.cumprod(np.concatenate(([1.0], np.exp(-cells.dh[:-1]))))
+    lags = np.arange(n_cells)
+    decay = np.exp(-k * dt * lags)
+    scale = free / (free * decay).sum()
+    loss = mu * dt  # as the cells take it
+    fraction, exponent = math.frexp(loss)
+    head = math.ldexp(math.floor(math.ldexp(fraction, 24)), exponent - 24)
+    death = np.exp(-head * lags) * np.exp(-(loss - head) * lags)
+    tails = [_quiescent(np.append(x[::-1], 0.0), -math.expm1(-k * dt))[:0:-1]
+             for x in (cells.div_frac * scale, scale)]
+    start = _Start(scale * decay, *_scaled_survival(cells.keep), None, k)
+    top = start.m0[::-1] * start.survival(np.full(n_cells, n_cells - 1), lags[::-1])
+    return start._replace(series=np.array([tails[0] * death, tails[1] * death, top]))
+
+
+class _Plan(NamedTuple):
+    """All of an equilibrium-start run that f leaves unchanged (see `_plan`)."""
+
+    cells: _CellGrid
+    survival: np.ndarray  # L_j
+    kernel: np.ndarray  # K_j
+    near: np.ndarray  # the near panel of K and L (see `_solve`)
+    start: _Start
+
+
 @functools.lru_cache(maxsize=1)
-def _plan(rate, mu, dt: float, a_max: float | None):
-    """The cells, k_d and `_anchors` of the equilibrium start: all that f leaves unchanged."""
+def _plan(rate, mu, dt: float, a_max: float | None) -> _Plan:
+    """The cells, L, K, near panel and `_Start` of an equilibrium-start run, read-only.
+
+    The start is plan data: each dose solves only its own births (`_births`).
+    """
     cells = _CellGrid(rate, mu, dt, a_max)
-    k = _growth_rate(cells, mu)
-    return cells, k, *_anchors(cells, _equilibrium_masses(cells, k))
+    start = _equilibrium_start(cells, _growth_rate(cells, mu), mu)
+    survival, kernel = _tables(cells)
+    near = _panel(kernel, survival, 0, min(SLAB, survival.size))
+    for array in (survival, kernel, near, start.m0, start.mantissa, start.exponent,
+                  start.series):
+        array.flags.writeable = False
+    return _Plan(cells, survival, kernel, near, start)
+
+
+def _births(plan: _Plan, c: float, steps: int) -> _Run:
+    """The newborns of an equilibrium-start run, of factor c, over steps: one renewal solve
+    from an empty history, with the start's divisions as its source."""
+    survival = plan.survival
+    source = np.zeros(steps + 1)
+    count = min(steps + 1, survival.size)
+    source[:count] = plan.start.series[0, :count]
+    return _Run(0, survival, *_solve(survival, plan.kernel, c, np.zeros(survival.size), steps,
+                                     source, plan.near))
 
 
 def _renewal(anchors: list[tuple], near: np.ndarray, c: float, steps: int) -> list[_Run]:
@@ -399,12 +534,15 @@ def _renewal(anchors: list[tuple], near: np.ndarray, c: float, steps: int) -> li
     return [_Run(0, survival, *_solve(survival, kernel, c, start, steps, source, near))] + runs
 
 
-def _profile(runs: list[_Run], n: int, n_cells: int) -> np.ndarray:
-    """Age-cell masses at step n: cell j is L_j * b_{n-j} of every run that holds it."""
+def _profile(runs: list[_Run], n: int, n_cells: int, start: _Start | None) -> np.ndarray:
+    """Age-cell masses at step n: cell j is L_j * b_{n-j} of every run that holds it, plus
+    the equilibrium start's cells, if any."""
     masses = np.zeros(n_cells)
     for run in runs:
         lo = run.divisions.size - n
         masses[run.first:] += run.survival * run.w[lo:lo + run.survival.size]
+    if start is not None and n < n_cells:
+        masses[n:] += start.masses(n)
     return masses
 
 
@@ -457,26 +595,30 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
             f"snapshot_times must be an iterable of times, got {snapshot_times!r}") from None
     snap_times = [check_number(t, "snapshot time", 0, config.t_end) for t in requested]
     snap_steps = [int(round(t / dt)) for t in snap_times]
-    if config.initial is None:  # the scheme's own stable age distribution
-        cells, _, anchors, near = _plan(config.rate, config.mu, dt, config.a_max)
-    else:
-        cells = _CellGrid(config.rate, config.mu, dt, config.a_max)
-        anchors, near = _anchors(cells, _start_masses(config.initial, cells))
     f = config.f
     mu_q = config.quiescent_death_rate
     steps = int(round(config.t_end / dt))
-    n_cells = cells.centers.size
     # daughters take half a step of death on arrival (module docstring)
     newborn = 2.0 * (1.0 - f) * math.exp(-config.mu * dt / 2.0)
     into_q = 2.0 * f * math.exp(-mu_q * dt / 2.0)
+    if config.initial is None:  # the scheme's own stable age distribution
+        plan = _plan(config.rate, config.mu, dt, config.a_max)
+        cells, start = plan.cells, plan.start
+        runs = [_births(plan, newborn, steps)]
+    else:
+        cells, start = _CellGrid(config.rate, config.mu, dt, config.a_max), None
+        runs = _renewal(*_anchors(cells, _start_masses(config.initial, cells)), newborn, steps)
+    n_cells = cells.centers.size
 
-    runs = _renewal(anchors, near, newborn, steps)
     divisions = runs[0].divisions
     series_p = sum(run.p for run in runs)
-    series_q = _quiescent(into_q * divisions, dt * mu_q)
-    total = series_p + series_q
     # the top cell at step n is L_{J-1} * b_{n-J+1}
     top = sum(run.survival[-1] * run.w[run.survival.size + 1:][::-1] for run in runs)
+    if start is not None:  # the equilibrium start's part: it has left the cells by step J
+        series_p[:n_cells] += start.series[1, :steps + 1]
+        top[:n_cells] += start.series[2, :steps]
+    series_q = _quiescent(into_q * divisions, dt * mu_q)
+    total = series_p + series_q
     escaped = np.flatnonzero(top > ESCAPE_TOL * np.maximum(total[:steps], 1e-300))
     if escaped.size:
         n = int(escaped[0])
@@ -485,7 +627,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
             f"(top cell holds {top[n]:.3e}); increase a_max"
         )
 
-    profiles = {n: _profile(runs, n, n_cells) / dt for n in {*snap_steps, steps}}
+    profiles = {n: _profile(runs, n, n_cells, start) / dt for n in {*snap_steps, steps}}
     return SimOutput(
         times=np.arange(steps + 1) * dt,
         P=series_p,
@@ -504,7 +646,7 @@ def scheme_growth_rate(config: SimConfig) -> float:
     Where the grid reaches the rate's divergence range, lambda_d approaches solve_lambda's
     lambda as O(dt^2).  f and the start do not enter.  Read from simulate's `_plan`.
     """
-    return _plan(config.rate, config.mu, config.dt, config.a_max)[1] - config.mu
+    return _plan(config.rate, config.mu, config.dt, config.a_max).start.k - config.mu
 
 
 def _growth_rate(cells: _CellGrid, mu: float) -> float:

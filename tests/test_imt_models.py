@@ -109,13 +109,16 @@ def test_erfc_integral_against_quadrature():
     a=st.floats(min_value=0.0, max_value=60.0),
 )
 @example(m=13.0, sigma=0.3125, a=56.0)
+@example(m=0.0, sigma=1.771, a=48.04)
 @settings(max_examples=50, deadline=None)
 def test_erfc_integral_random_parameters(m, sigma, a):
-    # the rise at m can be far narrower than [0, a]: without the break point quad's
-    # own error reaches 4e-9 (m 13, sigma 0.3125, a 56, where the integral is 86)
+    # the rise over m +- 6 sigma can be far narrower than [0, a]: without break points
+    # there, quad's own error reaches 4e-9 (m 13, sigma 0.3125, a 56, where the integral
+    # is 86) and 2.7e-8 (m 0, sigma 1.771, a 48.04: a rise at the lower end)
+    rise = [p for p in (m - 6.0 * sigma, m, m + 6.0 * sigma) if 0.0 < p < a]
     expected, _ = integrate.quad(
         lambda x: float(erfc((m - x) / sigma)), 0.0, a, limit=200, epsabs=1e-13,
-        points=[m] if 0.0 < m < a else None,
+        points=rise or None,
     )
     assert float(erfc_integral(m, sigma, a)) == pytest.approx(expected, abs=1e-9)
 
@@ -603,6 +606,15 @@ def test_reweighted_density_that_overflows_is_a_validation_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValidationError, match="lambda = -1000"):
             reweighted_density(model, -1000.0, [1.0, 20.0, 1000.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_density_whose_norm_underflows_is_rejected():
+    # death at 10/h long before the rate rises at m = 200 h: the norm is 0.0 in double,
+    # and density / norm was [nan nan] with an invalid-value warning
+    model = Model(family="erfc-mu", beta0=0.2, m=200.0, sigma=3.0, mu=10.0)
+    with pytest.raises(ValidationError, match="norm, 0, is below the double range"):
+        imt_density(model, [1.0, 200.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

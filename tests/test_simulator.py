@@ -29,6 +29,7 @@ from mitoclock.simulator import (
     MAX_STEPS,
     _CellGrid,
     _equilibrium_masses,
+    _equilibrium_start,
     _growth_rate,
     scheme_growth_rate,
 )
@@ -315,7 +316,7 @@ def shifted_run(config, snapshot_times=()):
     cells = _CellGrid(config.rate, config.mu, dt, a_max)
     init = config.initial
     if init is None:
-        m = _equilibrium_masses(cells, _growth_rate(cells, config.mu))
+        m = _equilibrium_start(cells, _growth_rate(cells, config.mu), config.mu).masses(0)
     else:
         inside = (cells.centers >= init.ages[0]) & (cells.centers <= init.ages[-1])
         m = np.where(inside, np.interp(cells.centers, init.ages, init.values), 0.0) * dt
@@ -405,14 +406,21 @@ GOLDEN = {
     "start-across-a-spike": SimConfig(
         rate=SPIKE, mu=0.01, f=0.3, t_end=50.0, a_max=100.0,
         initial=CustomProfile(np.array([10.0, 40.0]), np.array([0.1, 0.1]))),
-    # steep death: survival L_k underflows within the cells, so the equilibrium start is
-    # split into anchored runs
+    # steep death: survival L_k underflows within the cells, where the equilibrium start
+    # still holds mass
     "steep-death": SimConfig(rate=REFERENCE, mu=19.9, f=0.3, t_end=90.0, mu_q=0.0),
     "steep-death-coarse": SimConfig(rate=REFERENCE, mu=5.0, f=0.3, t_end=90.0, dt=0.1,
                                     mu_q=0.0),
+    # N falls below 1e-300, where the escape test compares the top cell with 1e-309: the
+    # start's top cell is 1.7e-322 at t = 70.65 h, so nothing escapes
+    "steep-death-subnormal-top": SimConfig(rate=REFERENCE, mu=10.0, f=0.0, t_end=90.0,
+                                           mu_q=0.0),
     # more cells than one slab and more steps than one epoch: the far slabs' history
     # products are taken once per epoch
     "far-slabs": SimConfig(rate=REFERENCE, mu=0.00333, f=0.6, t_end=100.0, dt=0.02),
+    # 10 228 cells and 9 000 steps: a start that is not the scheme's own eigenvector drifts
+    # past 1e-13 here
+    "fine": SimConfig(rate=REFERENCE, mu=0.00333, f=0.6, t_end=90.0, dt=0.01),
     # 12 500 cells, three far slabs, the last narrower than a slab; the start past
     # where L_k underflows is solved in anchored runs of their own
     "far-slabs-custom-start": SimConfig(
@@ -753,7 +761,7 @@ PLAN_SWEEPS = {
                     mu=0.01, t_end=60.0),
     "tabulated": sweep(TabulatedRate([0.0, 10.0, 20.0, 40.0], [0.0, 0.1, 0.2, 0.2]), (0.0, 0.6),
                        mu=0.01, t_end=60.0, a_max=250.0),
-    # the start is split into tens of anchored runs (see GOLDEN)
+    # L_k underflows within the cells (see GOLDEN)
     "steep-death": sweep(REFERENCE, (0.3, 0.0), mu=19.9, t_end=90.0, dt=0.05, mu_q=0.0),
 }
 
@@ -773,9 +781,29 @@ def test_runs_on_a_shared_plan_equal_runs_on_a_fresh_one_bit_for_bit(configs):
         fresh = simulate(config, snapshot_times=[0.0, 30.0])
         for a, b in zip(output_arrays(out), output_arrays(fresh), strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    # one renewal run, but tens of anchored runs under steep death
-    runs = len(simulator._plan(config.rate, config.mu, config.dt, config.a_max)[2])
-    assert runs > 10 if config.mu == 19.9 else runs == 1
+
+
+@pytest.mark.parametrize("configs", PLAN_SWEEPS.values(), ids=PLAN_SWEEPS)
+def test_an_equilibrium_start_takes_one_renewal_solve_per_dose(monkeypatch, configs):
+    # the start is plan data, in closed form: no anchored run at any death rate, and each
+    # dose solves its own births alone
+    def anchors(cells, m0):
+        raise AssertionError("an equilibrium start was split into anchored runs")
+
+    solves = []
+    solve = simulator._solve
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(simulator, "_anchors", anchors)
+    monkeypatch.setattr(simulator, "_solve", counted_solve)
+    simulator._plan.cache_clear()
+    for config in configs:
+        simulate(config)
+    assert len(solves) == len(configs)
+    assert not any(start.any() for _, _, _, start, *_ in solves)  # from an empty history
 
 
 def test_a_dose_sweep_builds_its_cells_once(monkeypatch):

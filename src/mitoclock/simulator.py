@@ -27,11 +27,13 @@ equation.  With J cells, the survival L_j = prod_{i<j} keep_i and the kernel
 K_j = div_frac_j * L_j, the newborn mass b_k entered at step k holds L_j * b_k
 when it has aged into cell j, so the division mass d_n and P_n of step n are
 
-    d_n = sum_j K_j b_{n-j},   b_{n+1} = 2(1-f) exp(-mu*dt/2) d_n,   P_n = sum_j L_j b_{n-j};
+    d_n = S_d[n] + sum_j K_j b_{n-j},   b_{n+1} = 2(1-f) exp(-mu*dt/2) d_n,
+    P_n = S_p[n] + sum_j L_j b_{n-j},
 
-a custom start enters as virtual newborns b_{-k} = m0_k / L_k.  Cell j of a profile
-is L_j * b_{n-j}, the top cell at step n is L_{J-1} * b_{n-J+1} (its keep is
-never used: its content leaves the window), and Q keeps its recursion.  The
+with S_d and S_p the divisions and mass of the start's own cells, known in advance (Feller's
+renewal decomposition), so a run from either start solves its births from an empty history
+(`_births`).  A profile's cell j, the top cell J-1 too, holds L_j * b_{n-j} plus the start's
+(the top cell's keep is never used: its content leaves), and Q keeps its recursion.  The
 equation is solved BLOCK steps at a time: inside a block exactly, by one
 product with (I - c*T0)^-1, formed by Neumann doubling; the history sums are
 BLAS products of Hankel panels of K and L, a SLAB of lags each, against finished
@@ -42,25 +44,25 @@ superblock's own blocks one product each.  Only lags that can reach a nonzero ne
 are multiplied.  K, L, b and every matrix are nonnegative, so every sum is of
 nonnegative terms and each output is accurate relative to itself: births that are
 exactly 0 before the first division stay exactly 0.  An FFT convolution would be O(N log N) but its error is absolute,
-relative to the largest term, and turns those zeros into +-1e-20 noise.  Where
-L_k is too small to carry a custom start cell (a spike in the hazard, or steep death),
-the start from that cell on is solved on its own cells without births, anchored
-there, and its divisions feed the rest as a known source (`_anchors`, `START_SPAN`,
-`_renewal`): this serves custom starts alone.
+relative to the largest term, and turns those zeros into +-1e-20 noise.
+
+A custom start enters as virtual newborns b_k = m0_k / L_k: cell j holds L_j * b_{j-n} after
+n steps, so its S_d and S_p are direct correlations of b with K and L (`_custom_start`).
+Where L_k is too small to carry a start cell (a spike in the hazard, or steep death), the
+start from that cell on is a segment anchored there, with L counted from it (`_anchors`,
+`START_SPAN`).
 
 The equilibrium start is the scheme's own eigenvector, m0_j proportional to
 Lt_j exp(-k_d*dt*j), with Lt the death-free survival, k_d = mu + lambda_d and lambda_d the
 root of its renewal sum on the run's cells (`_growth_rate`), so an untreated run grows as
 exp(lambda_d*t) from t = 0 to rounding.  After n steps it holds cells j >= n as
 m0_j exp(lambda_d*dt*n), and its divisions and mass are closed-form series of the plan
-(`_equilibrium_start`), with no anchored run at any mu.  Each dose then solves its own
-births alone: one renewal solve from an empty history, with the start's divisions as its
-source (`_births`), whose early blocks multiply only the lags their few newborns reach.
+(`_equilibrium_start`), with no anchored run at any mu.
 
-All that f leaves unchanged, the cells, L and K with their near panel and the equilibrium
-start, is one read-only plan per (rate, mu, dt, a_max), the rate by identity.  One plan is
-kept, the last: the doses of a sweep come one after another.  scheme_growth_rate reads its
-k_d there; a custom start bypasses it and never solves for k_d.
+All that f and the start leave unchanged, the cells, L and K with their near panel, is one
+read-only plan per (rate, mu, dt, a_max), the rate by identity.  One plan is kept, the last:
+the doses of a sweep come one after another.  The equilibrium start, whose k_d
+scheme_growth_rate reads, is built on it when first needed: a custom start never solves for k_d.
 
 The labeled cohort of `imt_experiment` re-injects no daughters, so it needs no
 time loop: after k steps cell j holds m0[j-k] * exp(Lh_j - Lh_{j-k} - mu*dt*k),
@@ -243,16 +245,6 @@ def _start_masses(init: CustomProfile, cells: _CellGrid) -> np.ndarray:
     return m0
 
 
-class _Run(NamedTuple):
-    """One renewal solve on the cells from `first` on (see `_renewal`)."""
-
-    first: int
-    survival: np.ndarray  # L_j from cell `first`
-    w: np.ndarray  # w[steps + 1 - n + j] = b_{n-j}, the newborn series reversed
-    divisions: np.ndarray  # d_n for n = 0..steps
-    p: np.ndarray  # P_n for n = 0..steps
-
-
 def _neumann(a: np.ndarray) -> np.ndarray:
     """(I - a)^-1 of a nonnegative, strictly lower triangular a, from products alone.
 
@@ -267,30 +259,26 @@ def _neumann(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np.ndarray,
-           near: np.ndarray):
-    """b, d and P of d_n = source_n + sum_j K_j b_{n-j}, b_{n+1} = c*d_n, P_n = sum_j L_j b_{n-j}.
+def _solve(survival, kernel, c: float, steps: int, source: np.ndarray, near: np.ndarray):
+    """b, d and P of d_n = source_n + sum_j K_j b_{n-j}, b_{n+1} = c*d_n, P_n = sum_j L_j b_{n-j}
+    from an empty history, where source carries the start: w, with w[steps + 1 - n + j] =
+    b_{n-j} (b reversed), then d_n and P_n for n = 0..steps.
 
-    start holds the virtual newborns b_{-k}; all 0 is an empty history, where source
-    carries the start.  Steps are taken BLOCK at a time: a block's d and P are one product
+    Steps are taken BLOCK at a time: a block's d and P are one product
     of [[(I - c*T0)^-1, 0], [c*TL (I - c*T0)^-1, I]] with its history sums of K and L.
     Those come from Hankel panels of K and L (2*BLOCK rows, SLAB lags each).  A far panel,
     of lags >= SLAB, is built once per epoch of SLAB steps and multiplied at its start with
     the windows of all its blocks, whose newborns are then final.  The near panel, of lags
     < SLAB, is multiplied at the start of each superblock of SUPERBLOCK blocks with the
     windows of all its blocks, its own newborns still 0, and then with those newborns, one
-    block at a time; it is given, as _panel(kernel, survival, 0, min(SLAB, start.size)).
-    Only lags that can reach a nonzero newborn are multiplied: with b_{-k} = 0 for k >=
-    reach, the near panel's up to the end of the superblock plus reach, and each far slab's
-    up to the end of the epoch plus reach.
+    block at a time; it is given, as _panel(kernel, survival, 0, min(SLAB, survival.size)).
+    Only lags that can reach a newborn are multiplied: the near panel's up to the end of the
+    superblock, and each far slab's up to the end of the epoch.
     """
-    n_cells, base = start.size, steps + 1
-    nonzero = np.flatnonzero(start)
-    reach = int(nonzero[-1]) + 1 if nonzero.size else 0
+    n_cells, base = survival.size, steps + 1
     # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
     # past `steps`, the tail pads the last slab's windows
     w = np.zeros(BLOCK + base + n_cells + SLAB)
-    w[BLOCK + base:BLOCK + base + n_cells] = start
     windows = sliding_window_view(w, SLAB)
     lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK) - 1  # T0[i, l] = K_{i-1-l}, l < i
     inside = lag >= 0
@@ -321,12 +309,12 @@ def _solve(survival, kernel, c: float, start: np.ndarray, steps: int, source: np
     for top in range(0, base, BLOCK * SUPERBLOCK):
         if top % SLAB == 0:  # an epoch: its far slabs read only newborns made before it
             for lo, hi in far:
-                hi = min(hi, top + SLAB + reach)
+                hi = min(hi, top + SLAB)
                 if lo < hi:
                     panel = _panel(kernel, survival, lo, hi, scratch[span:])
                     add_history(top, SLAB, lo, hi, panel)
-        if top or reach:  # else the superblock's windows hold no newborn yet
-            cols = min(near.shape[1], top + BLOCK * SUPERBLOCK + reach)
+        if top:  # else the superblock's windows hold no newborn yet
+            cols = min(near.shape[1], top + BLOCK * SUPERBLOCK)
             add_history(top, BLOCK * SUPERBLOCK, 0, cols, near[:, :cols])
         starts = range(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK)
         history = out[top // BLOCK:top // BLOCK + len(starts)]
@@ -359,16 +347,14 @@ def _panel(kernel, survival, lo: int, hi: int, out=None) -> np.ndarray:
     return panel
 
 
-def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """(first, L, K, start) of each renewal run whose sum is the scheme run from the custom
-    start masses m0, and the near panel of the first run (see `_solve`); every array
-    read-only.  The equilibrium start needs none (`_equilibrium_start`).
+def _anchors(cells: _CellGrid, m0: np.ndarray) -> list[tuple]:
+    """(first, L, K, b) of each segment of the custom start masses m0 (`_custom_start`).
 
-    The start enters as virtual newborns b_{-k} = m0_k / L_k.  Where that would exceed
-    START_SPAN times the largest start cell (L_k underflows past a spike in the hazard,
-    or under steep death), it stops: the start from that cell on is anchored there, with
-    L counted from it, and solved without births, and so on.  The first run, from cell
-    0, has the births; the divisions of the others are a known source in it.
+    The segment enters as virtual newborns b_k = m0_{first+k} / L_k, with L and K counted
+    from its first cell.  Where that would exceed START_SPAN times the largest start cell
+    (L_k underflows past a spike in the hazard, or under steep death), it stops: the start
+    from that cell on is the next segment, anchored there.  b ends at the segment's last
+    nonzero cell, and a segment without one is left out.
     """
     n_cells = m0.size
     scale = START_SPAN * m0.max()
@@ -378,16 +364,13 @@ def _anchors(cells: _CellGrid, m0: np.ndarray) -> tuple[list[tuple], np.ndarray]
         survival, kernel = _tables(cells, first)
         over = np.flatnonzero(m0[first:] > survival * scale)
         end = n_cells if over.size == 0 else first + int(over[0])
-        start = np.zeros(n_cells - first)
-        np.divide(m0[first:end], survival[:end - first], out=start[:end - first],
-                  where=m0[first:end] > 0)
-        anchors.append((first, survival, kernel, start))
+        mass = np.trim_zeros(m0[first:end], "b")
+        if mass.size:
+            newborns = np.divide(mass, survival[:mass.size], out=np.zeros(mass.size),
+                                 where=mass > 0)
+            anchors.append((first, survival, kernel, newborns))
         first = end
-    _, survival, kernel, _ = anchors[0]
-    near = _panel(kernel, survival, 0, min(SLAB, n_cells))
-    for array in (near, *(table for anchor in anchors for table in anchor[1:])):
-        array.flags.writeable = False
-    return anchors, near
+    return anchors
 
 
 def _tables(cells: _CellGrid, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -424,6 +407,42 @@ class _Start(NamedTuple):
         below = self.mantissa[of]
         ratio = np.divide(self.mantissa[to], below, out=np.equal(to, of) * 1.0, where=below > 0)
         return np.ldexp(ratio, self.exponent[to] - self.exponent[of])
+
+
+class _CustomStart(NamedTuple):
+    """A custom start's part of a run (`_custom_start`), as `_Start` has it: series holds,
+    for steps n < J, the start's divisions S_d and mass S_p up to the run's end, and its top cell.
+
+    Cells come from the `_anchors` segments, as L_j * b_{j-n}, L counted from each
+    segment's first cell: a ratio of L counted from cell 0 would be 0/0 past a keep of 0.
+    """
+
+    segments: list  # (first, L, K, b) of each segment
+    series: np.ndarray
+
+    def masses(self, n: int) -> np.ndarray:
+        """Cells n.. after n steps."""
+        masses = np.zeros(self.series.shape[1] - n)
+        for first, survival, _, newborns in self.segments:
+            count = max(0, min(newborns.size, survival.size - n))
+            masses[first:first + count] += survival[n:n + count] * newborns[:count]
+        return masses
+
+
+def _custom_start(cells: _CellGrid, init: CustomProfile, steps: int) -> _CustomStart:
+    """The custom start init on the cells, for a run of steps.  S_d[n] and S_p[n] sum
+    K_{j+n} b_j and L_{j+n} b_j over the segments by np.correlate, which is direct: of
+    nonnegative terms, 0 stays 0."""
+    segments = _anchors(cells, _start_masses(init, cells))
+    series = np.zeros((3, cells.dh.size))
+    for _, survival, kernel, newborns in segments:
+        span, count = survival.size, min(survival.size, steps + 1)
+        for row, table in zip(series, (kernel, survival)):
+            padded = np.append(table, np.zeros(newborns.size - 1))
+            row[:count] += np.correlate(padded[:count + newborns.size - 1], newborns, "valid")
+        # cell J - 1 holds L_{span-1} * b_{span-1-n}
+        series[2, span - newborns.size:span] += survival[-1] * newborns[::-1]
+    return _CustomStart(segments, series)
 
 
 def _scaled_survival(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -479,69 +498,52 @@ def _equilibrium_start(cells: _CellGrid, k: float, mu: float) -> _Start:
     return start._replace(series=np.array([tails[0] * death, tails[1] * death, top]))
 
 
-class _Plan(NamedTuple):
-    """All of an equilibrium-start run that f leaves unchanged (see `_plan`)."""
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """All of a run that f and the start leave unchanged (see `_plan`)."""
 
     cells: _CellGrid
+    mu: float
     survival: np.ndarray  # L_j
     kernel: np.ndarray  # K_j
     near: np.ndarray  # the near panel of K and L (see `_solve`)
-    start: _Start
+
+    @functools.cached_property
+    def start(self) -> _Start:
+        """The equilibrium start, built when a run first needs it, as it solves for k_d."""
+        start = _equilibrium_start(self.cells, _growth_rate(self.cells, self.mu), self.mu)
+        for array in (start.m0, start.mantissa, start.exponent, start.series):
+            array.flags.writeable = False
+        return start
 
 
 @functools.lru_cache(maxsize=1)
 def _plan(rate, mu, dt: float, a_max: float | None) -> _Plan:
-    """The cells, L, K, near panel and `_Start` of an equilibrium-start run, read-only.
-
-    The start is plan data: each dose solves only its own births (`_births`).
-    """
+    """The cells, L, K and near panel of a run, read-only: each run solves only its own
+    births on them (`_births`)."""
     cells = _CellGrid(rate, mu, dt, a_max)
-    start = _equilibrium_start(cells, _growth_rate(cells, mu), mu)
     survival, kernel = _tables(cells)
     near = _panel(kernel, survival, 0, min(SLAB, survival.size))
-    for array in (survival, kernel, near, start.m0, start.mantissa, start.exponent,
-                  start.series):
+    for array in (survival, kernel, near):
         array.flags.writeable = False
-    return _Plan(cells, survival, kernel, near, start)
+    return _Plan(cells, mu, survival, kernel, near)
 
 
-def _births(plan: _Plan, c: float, steps: int) -> _Run:
-    """The newborns of an equilibrium-start run, of factor c, over steps: one renewal solve
-    from an empty history, with the start's divisions as its source."""
-    survival = plan.survival
+def _births(plan: _Plan, c: float, steps: int, start):
+    """`_solve` for a run from start (`_Start` or `_CustomStart`), of factor c, over steps:
+    its births from an empty history, with the start's divisions as the source."""
     source = np.zeros(steps + 1)
-    count = min(steps + 1, survival.size)
-    source[:count] = plan.start.series[0, :count]
-    return _Run(0, survival, *_solve(survival, plan.kernel, c, np.zeros(survival.size), steps,
-                                     source, plan.near))
+    count = min(steps + 1, plan.survival.size)
+    source[:count] = start.series[0, :count]
+    return _solve(plan.survival, plan.kernel, c, steps, source, plan.near)
 
 
-def _renewal(anchors: list[tuple], near: np.ndarray, c: float, steps: int) -> list[_Run]:
-    """The `_anchors` runs solved over steps, with births, of factor c, in the first alone."""
-    runs = []
-    source = np.zeros(steps + 1)
-    for first, survival, kernel, start in anchors[1:]:
-        # no births: the start has left these cells after start.size steps
-        span = min(steps, start.size - 1)
-        # built run by run: a plan that held these panels would keep 512 B per cell each
-        near_run = _panel(kernel, survival, 0, min(SLAB, start.size))
-        w, d, p = _solve(survival, kernel, 0.0, start, span, np.zeros(span + 1), near_run)
-        pad = np.zeros(steps - span)
-        runs.append(_Run(first, survival, np.concatenate((pad, w)), np.append(d, pad),
-                         np.append(p, pad)))
-        source += runs[-1].divisions
-    _, survival, kernel, start = anchors[0]
-    return [_Run(0, survival, *_solve(survival, kernel, c, start, steps, source, near))] + runs
-
-
-def _profile(runs: list[_Run], n: int, n_cells: int, start: _Start | None) -> np.ndarray:
-    """Age-cell masses at step n: cell j is L_j * b_{n-j} of every run that holds it, plus
-    the equilibrium start's cells, if any."""
-    masses = np.zeros(n_cells)
-    for run in runs:
-        lo = run.divisions.size - n
-        masses[run.first:] += run.survival * run.w[lo:lo + run.survival.size]
-    if start is not None and n < n_cells:
+def _profile(w: np.ndarray, survival: np.ndarray, n: int, start) -> np.ndarray:
+    """Age-cell masses at step n: cell j is L_j * b_{n-j} (w from `_solve`), plus the
+    start's cells."""
+    lo = w.size - survival.size - n
+    masses = survival * w[lo:lo + survival.size]
+    if n < survival.size:
         masses[n:] += start.masses(n)
     return masses
 
@@ -601,22 +603,18 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
     # daughters take half a step of death on arrival (module docstring)
     newborn = 2.0 * (1.0 - f) * math.exp(-config.mu * dt / 2.0)
     into_q = 2.0 * f * math.exp(-mu_q * dt / 2.0)
-    if config.initial is None:  # the scheme's own stable age distribution
-        plan = _plan(config.rate, config.mu, dt, config.a_max)
-        cells, start = plan.cells, plan.start
-        runs = [_births(plan, newborn, steps)]
-    else:
-        cells, start = _CellGrid(config.rate, config.mu, dt, config.a_max), None
-        runs = _renewal(*_anchors(cells, _start_masses(config.initial, cells)), newborn, steps)
+    plan = _plan(config.rate, config.mu, dt, config.a_max)
+    cells = plan.cells
+    # None: the scheme's own stable age distribution
+    start = plan.start if config.initial is None else _custom_start(cells, config.initial, steps)
+    w, divisions, series_p = _births(plan, newborn, steps, start)
     n_cells = cells.centers.size
 
-    divisions = runs[0].divisions
-    series_p = sum(run.p for run in runs)
     # the top cell at step n is L_{J-1} * b_{n-J+1}
-    top = sum(run.survival[-1] * run.w[run.survival.size + 1:][::-1] for run in runs)
-    if start is not None:  # the equilibrium start's part: it has left the cells by step J
-        series_p[:n_cells] += start.series[1, :steps + 1]
-        top[:n_cells] += start.series[2, :steps]
+    top = plan.survival[-1] * w[n_cells + 1:][::-1]
+    # the start's part: it has left the cells by step J
+    series_p[:n_cells] += start.series[1, :steps + 1]
+    top[:n_cells] += start.series[2, :steps]
     series_q = _quiescent(into_q * divisions, dt * mu_q)
     total = series_p + series_q
     escaped = np.flatnonzero(top > ESCAPE_TOL * np.maximum(total[:steps], 1e-300))
@@ -627,7 +625,7 @@ def simulate(config: SimConfig, snapshot_times=None) -> SimOutput:
             f"(top cell holds {top[n]:.3e}); increase a_max"
         )
 
-    profiles = {n: _profile(runs, n, n_cells, start) / dt for n in {*snap_steps, steps}}
+    profiles = {n: _profile(w, plan.survival, n, start) / dt for n in {*snap_steps, steps}}
     return SimOutput(
         times=np.arange(steps + 1) * dt,
         P=series_p,
@@ -652,7 +650,7 @@ def scheme_growth_rate(config: SimConfig) -> float:
 def _growth_rate(cells: _CellGrid, mu: float) -> float:
     """k_d = mu + lambda_d, where 2 exp(-mu*dt/2) sum_j K_j exp(-lambda_d*dt*(j+1)) = 1.
 
-    With death taken out of `_renewal`'s kernel K, K_j = Kt_j exp(-mu*dt*j), Kt_j = div_frac_j *
+    With death taken out of the plan's kernel K, K_j = Kt_j exp(-mu*dt*j), Kt_j = div_frac_j *
     exp(H(c_0) - H(c_j)), and spectral.falsi_root finds the root in k of the log of the left
     side, log 2 + mu*dt/2 + log sum_j Kt_j exp(-k*dt*(j+1)), which no mu over- or underflows.
     div_frac carries death, so k_d rises as ~mu/2.  GridTooSmallError if it is <= 0 at k = 0.

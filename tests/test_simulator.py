@@ -376,12 +376,16 @@ def assert_matches_the_shift_loop(config, snaps):
         out = simulate(config, snapshot_times=snaps)
     # atol: a subnormal f gives subnormal Q values, which carry no relative precision
     close = dict(rtol=1e-13, atol=1e-300)
-    for got, want in ((out.P, p), (out.Q, q), (out.N, p + q), (out.births, births),
-                      (out.quiescence_influx, influx), (out.final_profile.values, final)):
-        np.testing.assert_allclose(got, want, **close)
     assert [t for t, _ in out.snapshots] == snaps
-    for (_, got), want in zip(out.snapshots, snapshots):
+    tiny = np.finfo(float).tiny
+    for got, want in ((out.P, p), (out.Q, q), (out.N, p + q), (out.births, births),
+                      (out.quiescence_influx, influx), (out.final_profile.values, final),
+                      *((got, want) for (_, got), want in zip(out.snapshots, snapshots))):
         np.testing.assert_allclose(got, want, **close)
+        # every sum is of nonnegative terms: a value is exactly 0 where the shift loop's
+        # is, short of the subnormals, which the shift loop rounds step by step
+        moved = (got == 0) != (want == 0)
+        np.testing.assert_array_equal(moved & ((got >= tiny) | (want >= tiny)), False)
     return out
 
 
@@ -405,6 +409,12 @@ GOLDEN = {
         initial=CustomProfile(np.array([35.0, 40.0]), np.array([0.1, 0.1]))),
     "start-across-a-spike": SimConfig(
         rate=SPIKE, mu=0.01, f=0.3, t_end=50.0, a_max=100.0,
+        initial=CustomProfile(np.array([10.0, 40.0]), np.array([0.1, 0.1]))),
+    # 17 cells keep exactly 0, so L counted from cell 0 is 0 past them: the start's cells
+    # there must come from its anchored segments, not from ratios of L, which are 0/0
+    "start-past-a-zero-keep": SimConfig(
+        rate=TabulatedRate([0.0, 20.0, 20.5, 21.0, 300.0], [0.0, 0.0, 1e5, 0.0, 0.0]), mu=0.0,
+        f=0.0, t_end=30.0, a_max=100.0,
         initial=CustomProfile(np.array([10.0, 40.0]), np.array([0.1, 0.1]))),
     # steep death: survival L_k underflows within the cells, where the equilibrium start
     # still holds mass
@@ -763,6 +773,9 @@ PLAN_SWEEPS = {
                        mu=0.01, t_end=60.0, a_max=250.0),
     # L_k underflows within the cells (see GOLDEN)
     "steep-death": sweep(REFERENCE, (0.3, 0.0), mu=19.9, t_end=90.0, dt=0.05, mu_q=0.0),
+    # a start split into anchored segments across the spike (see GOLDEN)
+    "custom": sweep(SPIKE, (0.0, 0.3, 0.6), mu=0.01, t_end=50.0, a_max=100.0,
+                    initial=CustomProfile(np.array([10.0, 40.0]), np.array([0.1, 0.1]))),
 }
 
 
@@ -784,9 +797,9 @@ def test_runs_on_a_shared_plan_equal_runs_on_a_fresh_one_bit_for_bit(configs):
 
 
 @pytest.mark.parametrize("configs", PLAN_SWEEPS.values(), ids=PLAN_SWEEPS)
-def test_an_equilibrium_start_takes_one_renewal_solve_per_dose(monkeypatch, configs):
-    # the start is plan data, in closed form: no anchored run at any death rate, and each
-    # dose solves its own births alone
+def test_every_start_takes_one_renewal_solve_per_dose(monkeypatch, configs):
+    # each dose solves its own births alone, from an empty history (_solve takes no start);
+    # the equilibrium start is plan data, in closed form: no anchored run at any death rate
     def anchors(cells, m0):
         raise AssertionError("an equilibrium start was split into anchored runs")
 
@@ -797,13 +810,13 @@ def test_an_equilibrium_start_takes_one_renewal_solve_per_dose(monkeypatch, conf
         solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(simulator, "_anchors", anchors)
+    if configs[0].initial is None:
+        monkeypatch.setattr(simulator, "_anchors", anchors)
     monkeypatch.setattr(simulator, "_solve", counted_solve)
     simulator._plan.cache_clear()
     for config in configs:
         simulate(config)
     assert len(solves) == len(configs)
-    assert not any(start.any() for _, _, _, start, *_ in solves)  # from an empty history
 
 
 def test_a_dose_sweep_builds_its_cells_once(monkeypatch):
@@ -816,9 +829,12 @@ def test_a_dose_sweep_builds_its_cells_once(monkeypatch):
 
     monkeypatch.setattr(simulator, "_CellGrid", CountedCells)
     # a rate of its own: no earlier test built its plan
-    configs = sweep(ClosedFormRate(FIT_ERFC_MU), (0.0, 0.3, 0.6), mu=FIT_ERFC_MU.mu, t_end=20.0)
-    for config in configs:
-        simulate(config)
+    rate = ClosedFormRate(FIT_ERFC_MU)
+    for initial in (bump_profile(), None):  # a custom start's sweep, then an equilibrium one
+        configs = sweep(rate, (0.0, 0.3, 0.6), mu=FIT_ERFC_MU.mu, t_end=20.0, initial=initial)
+        for config in configs:
+            simulate(config)
+        assert len(built) == 1
     # the gre suite's lambda_d is read from the same plan
     assert scheme_growth_rate(configs[0]) == scheme_growth_rate(configs[-1])
     assert len(built) == 1
@@ -834,18 +850,21 @@ def test_writing_into_a_runs_output_leaves_the_next_run_unchanged():
         assert a.tobytes() == b.tobytes()
 
 
-def test_a_custom_start_neither_solves_for_lambda_d_nor_reads_a_plan(monkeypatch):
+def test_a_custom_start_reads_the_plans_cells_but_never_solves_for_lambda_d(monkeypatch):
     def growth_rate(cells, mu):
         raise AssertionError("a custom start solved for lambda_d")
 
     monkeypatch.setattr(simulator, "_growth_rate", growth_rate)
-    before = simulator._plan.cache_info()
     # cells up to 20 h, short of gamma2's divergence range: lambda_d would be a
     # GridTooSmallError (test_cells_short_of_the_divergence_range_are_a_grid_too_small_error)
-    out = simulate(SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=5.0,
-                             a_max=20.0, initial=bump_profile()))
+    config = SimConfig(rate=ClosedFormRate(GAMMA2), mu=0.0, f=0.0, t_end=5.0, a_max=20.0,
+                       initial=bump_profile())
+    out = simulate(config)
     assert out.N[0] == pytest.approx(0.9, rel=1e-12)
-    assert simulator._plan.cache_info()[:2] == before[:2]  # no hit, no miss
+    hits = simulator._plan.cache_info().hits
+    plan = simulator._plan(config.rate, config.mu, config.dt, config.a_max)
+    assert simulator._plan.cache_info().hits == hits + 1  # the plan simulate built
+    assert out.final_profile.ages.tobytes() == plan.cells.centers.tobytes()
 
 
 def test_a_custom_start_keeps_its_table_past_the_callers_edits():

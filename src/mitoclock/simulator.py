@@ -33,24 +33,25 @@ when it has aged into cell j, so the division mass d_n and P_n of step n are
 with S_d and S_p the divisions and mass of the start's own cells, known in advance (Feller's
 renewal decomposition), so a run from either start solves its births from an empty history
 (`_births`).  A profile's cell j, the top cell J-1 too, holds L_j * b_{n-j} plus the start's
-(the top cell's keep is never used: its content leaves), and Q keeps its recursion.  The
-equation is solved BLOCK steps at a time: inside a block exactly, by one
-product with (I - c*T0)^-1, formed by Neumann doubling; the history sums are
-BLAS products of Hankel panels of K and L, a SLAB of lags each, against finished
-blocks of b.  Lags past the first slab reach only newborns made SLAB steps before,
-so those slabs take the windows of a whole epoch of SLAB steps in one product; the
-first slab takes those of a superblock in one product, and the rest of the
-superblock's own blocks one product each.  Only lags that can reach a nonzero newborn
-are multiplied.  K, L, b and every matrix are nonnegative, so every sum is of
-nonnegative terms and each output is accurate relative to itself: births that are
-exactly 0 before the first division stay exactly 0.  An FFT convolution would be O(N log N) but its error is absolute,
-relative to the largest term, and turns those zeros into +-1e-20 noise.
+(the top cell's keep is never used: its content leaves), and Q keeps its recursion.  P never
+enters d, so the births are solved alone, BLOCK steps at a time: inside a block exactly, by
+one product with (I - c*T0)^-1, formed by Neumann doubling; the history sums are BLAS
+products of Hankel panels of K, a SLAB of lags each, against finished blocks of b: the first
+slab takes a superblock's windows in one product, then the superblock's own blocks one at a
+time, and each later slab, which reaches only newborns made SLAB steps before, the windows
+of a whole epoch of SLAB steps in one.  P then takes the finished births through the same
+products with panels of L, and the lags inside every block in one product for all blocks.
+Only lags that can reach a nonzero newborn are multiplied.  K, L, b and every matrix are
+nonnegative, so every sum is of nonnegative terms and each output is accurate relative to
+itself: births that are exactly 0 before the first division stay exactly 0.  An FFT
+convolution would be O(N log N) but its error is absolute, relative to the largest term, and
+turns those zeros into +-1e-20 noise.
 
 A custom start enters as virtual newborns b_k = m0_k / L_k: cell j holds L_j * b_{j-n} after
-n steps, so its S_d and S_p are direct correlations of b with K and L (`_custom_start`).
-Where L_k is too small to carry a start cell (a spike in the hazard, or steep death), the
-start from that cell on is a segment anchored there, with L counted from it (`_anchors`,
-`START_SPAN`).
+n steps, so its S_d and S_p are correlations of b with K and L, taken in blocked products of
+the same kind (`_correlate`).  Where L_k is too small to carry a start cell (a spike in the
+hazard, or steep death), the start from that cell on is a segment anchored there, with L
+counted from it (`_anchors`, `START_SPAN`).
 
 The equilibrium start is the scheme's own eigenvector, m0_j proportional to
 Lt_j exp(-k_d*dt*j), with Lt the death-free survival, k_d = mu + lambda_d and lambda_d the
@@ -264,16 +265,18 @@ def _solve(survival, kernel, c: float, steps: int, source: np.ndarray, near: np.
     from an empty history, where source carries the start: w, with w[steps + 1 - n + j] =
     b_{n-j} (b reversed), then d_n and P_n for n = 0..steps.
 
-    Steps are taken BLOCK at a time: a block's d and P are one product
-    of [[(I - c*T0)^-1, 0], [c*TL (I - c*T0)^-1, I]] with its history sums of K and L.
-    Those come from Hankel panels of K and L (2*BLOCK rows, SLAB lags each).  A far panel,
-    of lags >= SLAB, is built once per epoch of SLAB steps and multiplied at its start with
-    the windows of all its blocks, whose newborns are then final.  The near panel, of lags
-    < SLAB, is multiplied at the start of each superblock of SUPERBLOCK blocks with the
-    windows of all its blocks, its own newborns still 0, and then with those newborns, one
-    block at a time; it is given, as _panel(kernel, survival, 0, min(SLAB, survival.size)).
+    P never feeds back, so the loop solves d alone, BLOCK steps at a time: a block's d is its
+    history sums of K, plus the source (added before the loop), times (I - c*T0)^-1.  The
+    sums come from Hankel panels of K, BLOCK rows and SLAB lags each.  A far panel, of lags
+    >= SLAB, is built once per epoch of SLAB steps and multiplied at its start with the
+    windows of all its blocks, whose newborns are then final.  The near panel, of lags < SLAB,
+    is multiplied at the start of each superblock of SUPERBLOCK blocks with the windows of all
+    its blocks, its own newborns still 0, and then with those newborns, one block at a time.
     Only lags that can reach a newborn are multiplied: the near panel's up to the end of the
-    superblock, and each far slab's up to the end of the epoch.
+    superblock, and each far slab's up to the end of the epoch.  P then takes the finished
+    newborns through the same products with panels of L, the near one a superblock at a time,
+    and the lags inside each block in one product for all blocks.  near is given, as
+    _panel(K, 0, min(SLAB, survival.size)) stacked on _panel(L, ...).
     """
     n_cells, base = survival.size, steps + 1
     # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
@@ -281,23 +284,20 @@ def _solve(survival, kernel, c: float, steps: int, source: np.ndarray, near: np.
     w = np.zeros(BLOCK + base + n_cells + SLAB)
     windows = sliding_window_view(w, SLAB)
     lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK) - 1  # T0[i, l] = K_{i-1-l}, l < i
-    inside = lag >= 0
-    lag = np.where(inside, lag, 0)
+    # lags < 0 read the zero pad at the end: both are strictly lower triangular
     k_lag, l_lag = (np.append(v, np.zeros(BLOCK))[lag] for v in (kernel, survival))
-    solve = _neumann(np.where(inside, c * k_lag, 0.0))
-    step = np.block([[solve, np.zeros((BLOCK, BLOCK))],
-                     [np.where(inside, c * l_lag, 0.0) @ solve, np.eye(BLOCK)]])
+    solve = _neumann(c * k_lag)
     far = [(lo, min(lo + SLAB, n_cells)) for lo in range(SLAB, n_cells, SLAB)]
     blocks = -(-base // BLOCK)
-    forcing = np.zeros(blocks * BLOCK)
-    forcing[:base] = source
-    out = np.zeros((blocks, 2 * BLOCK))  # row g: d, then P, of block g
+    d = np.append(source, np.zeros(blocks * BLOCK - base)).reshape(blocks, BLOCK)
+    width = near.shape[1]
     # one scratch for the windows of up to an epoch's blocks, then a far panel, reused:
     # a fresh array this large costs its page faults anew
-    span = min(blocks, SLAB // BLOCK) * near.shape[1]
-    scratch = np.empty(span + 2 * BLOCK * min(SLAB, max(n_cells - SLAB, 0)))
+    span = min(blocks, SLAB // BLOCK) * width
+    scratch = np.empty(span + BLOCK * min(SLAB, max(n_cells - SLAB, 0)))
+    tops = range(0, base, BLOCK * SUPERBLOCK)
 
-    def add_history(top: int, length: int, lo: int, hi: int, panel: np.ndarray):
+    def add_history(out, top: int, length: int, lo: int, hi: int, panel: np.ndarray):
         # the blocks of steps [top, top + length): their windows of lags [lo, hi), the
         # last block's first, times the panel of those lags, into their rows of out
         count = len(range(top, min(top + length, base), BLOCK))
@@ -306,44 +306,47 @@ def _solve(survival, kernel, c: float, steps: int, source: np.ndarray, near: np.
         rows[:] = windows[last:last + BLOCK * count:BLOCK, :hi - lo]
         out[top // BLOCK:top // BLOCK + count][::-1] += rows @ panel.T
 
-    for top in range(0, base, BLOCK * SUPERBLOCK):
-        if top % SLAB == 0:  # an epoch: its far slabs read only newborns made before it
-            for lo, hi in far:
-                hi = min(hi, top + SLAB)
-                if lo < hi:
-                    panel = _panel(kernel, survival, lo, hi, scratch[span:])
-                    add_history(top, SLAB, lo, hi, panel)
+    def add_far(out, top: int, series: np.ndarray):
+        # an epoch's far slabs: they read only newborns made before it
+        for lo, hi in far:
+            hi = min(hi, top + SLAB)
+            if lo < hi:
+                add_history(out, top, SLAB, lo, hi, _panel(series, lo, hi, scratch[span:]))
+
+    k_near, l_near = near[:BLOCK], near[BLOCK:]
+    for top in tops:
+        if top % SLAB == 0:
+            add_far(d, top, kernel)
         if top:  # else the superblock's windows hold no newborn yet
-            cols = min(near.shape[1], top + BLOCK * SUPERBLOCK)
-            add_history(top, BLOCK * SUPERBLOCK, 0, cols, near[:, :cols])
-        starts = range(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK)
-        history = out[top // BLOCK:top // BLOCK + len(starts)]
-        for g, n0 in enumerate(starts):
+            cols = min(width, top + BLOCK * SUPERBLOCK)
+            add_history(d, top, BLOCK * SUPERBLOCK, 0, cols, k_near[:, :cols])
+        for n0 in range(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK):
             lo = BLOCK + base - n0
-            sums = history[g]
-            done = min(n0 - top, near.shape[1])  # the superblock's newborns so far
+            sums = d[n0 // BLOCK]
+            done = min(n0 - top, width)  # the superblock's newborns so far
             if done:
-                sums += near[:, :done] @ w[lo:lo + done]
-            sums[:BLOCK] += forcing[n0:n0 + BLOCK]
-            sums[:] = step @ sums
-            w[lo - BLOCK:lo] = c * sums[BLOCK - 1::-1]
-    return (w[BLOCK:BLOCK + base + n_cells], out[:, :BLOCK].ravel()[:base],
-            out[:, BLOCK:].ravel()[:base])
+                sums += k_near[:, :done] @ w[lo:lo + done]
+            sums[:] = solve @ sums
+            w[lo - BLOCK:lo] = c * sums[::-1]
+    # row g: the newborns b_{g*BLOCK + 1..}, which block g makes
+    p = w[BLOCK + base - blocks * BLOCK:BLOCK + base][::-1].reshape(blocks, BLOCK) @ l_lag.T
+    for top in tops:
+        if top % SLAB == 0:
+            add_far(p, top, survival)
+        cols = min(width, top + BLOCK * SUPERBLOCK)
+        add_history(p, top, BLOCK * SUPERBLOCK, 0, cols, l_near[:, :cols])
+    return w[BLOCK:BLOCK + base + n_cells], d.ravel()[:base], p.ravel()[:base]
 
 
-def _panel(kernel, survival, lo: int, hi: int, out=None) -> np.ndarray:
-    """Hankel panels of K, then L: row i holds K_{i+t} (L_{i+t}) for t in [lo, hi), 0 past J.
+def _panel(series, lo: int, hi: int, out=None) -> np.ndarray:
+    """Hankel panel of series: row i holds series_{i+t} for t in [lo, hi), 0 past its end.
 
     Written into the head of the flat array out, when given.
     """
     width = hi - lo
-    panel = np.empty(2 * BLOCK * width) if out is None else out[:2 * BLOCK * width]
-    panel = panel.reshape(2 * BLOCK, width)
-    for rows, series in ((panel[:BLOCK], kernel), (panel[BLOCK:], survival)):
-        padded = np.zeros(width + BLOCK - 1)
-        part = series[lo:hi + BLOCK - 1]
-        padded[:part.size] = part
-        rows[:] = sliding_window_view(padded, width)[:BLOCK]
+    panel = (np.empty(BLOCK * width) if out is None else out[:BLOCK * width]).reshape(BLOCK, width)
+    padded = np.concatenate((series[lo:hi + BLOCK - 1], np.zeros(BLOCK - 1)))
+    panel[:] = sliding_window_view(padded, width)[:BLOCK]
     return panel
 
 
@@ -431,18 +434,34 @@ class _CustomStart(NamedTuple):
 
 def _custom_start(cells: _CellGrid, init: CustomProfile, steps: int) -> _CustomStart:
     """The custom start init on the cells, for a run of steps.  S_d[n] and S_p[n] sum
-    K_{j+n} b_j and L_{j+n} b_j over the segments by np.correlate, which is direct: of
-    nonnegative terms, 0 stays 0."""
+    K_{j+n} b_j and L_{j+n} b_j over the segments, directly: of nonnegative terms, 0 stays 0."""
     segments = _anchors(cells, _start_masses(init, cells))
     series = np.zeros((3, cells.dh.size))
     for _, survival, kernel, newborns in segments:
         span, count = survival.size, min(survival.size, steps + 1)
-        for row, table in zip(series, (kernel, survival)):
-            padded = np.append(table, np.zeros(newborns.size - 1))
-            row[:count] += np.correlate(padded[:count + newborns.size - 1], newborns, "valid")
+        series[:2, :count] += _correlate(np.stack((kernel, survival)), newborns, count)
         # cell J - 1 holds L_{span-1} * b_{span-1-n}
         series[2, span - newborns.size:span] += survival[-1] * newborns[::-1]
     return _CustomStart(segments, series)
+
+
+def _correlate(tables: np.ndarray, newborns: np.ndarray, count: int) -> np.ndarray:
+    """x[r, n] = sum_k tables[r, n+k] b_k for n < count, the tables 0 past their end, taken for
+    n = BLOCK*g + i as sum_u tables[r, BLOCK*g + u] b_{u-i}: windows of the tables, BLOCK
+    apart, times the Toeplitz panel b_{u-i}, a SLAB of u and of rows at a time."""
+    blocks, width = -(-count // BLOCK), newborns.size + BLOCK - 1
+    padded = np.hstack((tables, np.zeros((len(tables), BLOCK * blocks + width + SLAB))))
+    windows = sliding_window_view(padded, SLAB, axis=1)[:, ::BLOCK]  # row g: from BLOCK*g
+    padded_b = np.concatenate((np.zeros(BLOCK - 1), newborns, np.zeros(BLOCK - 1)))
+    out = np.zeros((len(tables), blocks, BLOCK))
+    for u in range(0, width, SLAB):
+        panel = padded_b[np.arange(u, min(u + SLAB, width))[:, None] + np.arange(BLOCK)[::-1]]
+        for g in range(0, blocks, SLAB // BLOCK):
+            rows = out[:, g:g + SLAB // BLOCK]
+            part = windows[:, u // BLOCK + g:][:, :rows.shape[1], :len(panel)]
+            # reshape copies the overlapping windows into rows a BLAS product takes
+            rows += (part.reshape(-1, len(panel)) @ panel).reshape(rows.shape)
+    return out.reshape(len(tables), -1)[:, :count]
 
 
 def _scaled_survival(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -523,7 +542,7 @@ def _plan(rate, mu, dt: float, a_max: float | None) -> _Plan:
     births on them (`_births`)."""
     cells = _CellGrid(rate, mu, dt, a_max)
     survival, kernel = _tables(cells)
-    near = _panel(kernel, survival, 0, min(SLAB, survival.size))
+    near = np.vstack([_panel(v, 0, min(SLAB, survival.size)) for v in (kernel, survival)])
     for array in (survival, kernel, near):
         array.flags.writeable = False
     return _Plan(cells, mu, survival, kernel, near)

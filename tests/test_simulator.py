@@ -445,20 +445,77 @@ def test_golden_runs_match_the_shift_loop(config):
     assert np.isfinite(out.N).all()
 
 
-SMALL_BLOCKS = ("more-steps-than-cells", "steps-not-a-block-multiple", "steep-death-coarse")
+SMALL_BLOCKS = ("more-steps-than-cells", "steps-not-a-block-multiple", "steep-death-coarse",
+                "start-across-a-spike")
 
 
-@pytest.mark.parametrize("name", SMALL_BLOCKS)
-def test_small_blocks_cross_many_slabs_and_epochs(monkeypatch, name):
+def small_blocks(monkeypatch, slab=32):
     # nested as the module asks (SLAB a multiple of BLOCK * SUPERBLOCK), small enough
     # that a run crosses tens of slabs, epochs and superblocks
-    for constant, value in (("BLOCK", 4), ("SUPERBLOCK", 4), ("SLAB", 32)):
+    for constant, value in (("BLOCK", 4), ("SUPERBLOCK", 4), ("SLAB", slab)):
         monkeypatch.setattr(simulator, constant, value)
     # a plan's near panel has these sizes: it must be neither read from nor left to the cache
     monkeypatch.setattr(simulator, "_plan", simulator._plan.__wrapped__)
+
+
+# at SLAB = BLOCK * SUPERBLOCK an epoch is one superblock
+@pytest.mark.parametrize("slab", (32, 16))
+@pytest.mark.parametrize("name", SMALL_BLOCKS)
+def test_small_blocks_cross_many_slabs_and_epochs(monkeypatch, name, slab):
+    small_blocks(monkeypatch, slab)
     config = GOLDEN[name]
     assert config.t_end / config.dt > 2 * simulator.SLAB
     assert_matches_the_shift_loop(config, [0.0, config.t_end / 3, config.t_end])
+
+
+def solve_at_small_blocks(survival, kernel, steps):
+    """_solve of a unit source at steps 1 and 2, c = 1.2, its near panel built from its
+    tables: (b_0..b_steps, d, P)."""
+    near = np.vstack([simulator._panel(series, 0, min(simulator.SLAB, survival.size))
+                      for series in (kernel, survival)])
+    w, d, p = simulator._solve(survival, kernel, 1.2, steps, renewal_source(steps), near)
+    return w[1:steps + 2][::-1], d, p
+
+
+def renewal_source(steps):
+    return np.isin(np.arange(steps + 1), (1, 2)) * 1.0
+
+
+def renewal_tables(cells):
+    """L of random keeps in (0.9, 1), and K = 0.1 L from lag 5 on: d stops for four steps
+    after each generation, so d, b and P hold runs of exact zeros."""
+    keep = np.random.default_rng(cells).uniform(0.9, 1.0, cells - 1)
+    survival = np.cumprod(np.append(1.0, keep))
+    return survival, np.where(np.arange(cells) >= 5, 0.1, 0.0) * survival
+
+
+# steps + 1 below one block, not a multiple of BLOCK, and more than 2 * SLAB; fewer cells
+# than one slab and more than two
+SOLVE_SIZES = [(steps, cells) for steps in (2, 49, 100) for cells in (20, 75)]
+
+
+@pytest.mark.parametrize("steps, cells", SOLVE_SIZES)
+def test_the_mass_series_is_read_from_the_finished_births(monkeypatch, steps, cells):
+    # P never feeds back: twice L leaves b and d bit for bit and doubles P exactly
+    small_blocks(monkeypatch)
+    survival, kernel = renewal_tables(cells)
+    births, d, p = solve_at_small_blocks(survival, kernel, steps)
+    births2, d2, p2 = solve_at_small_blocks(2.0 * survival, kernel, steps)
+    assert births2.tobytes() == births.tobytes() and d2.tobytes() == d.tobytes()
+    assert p2.tobytes() == (2.0 * p).tobytes()
+
+
+@pytest.mark.parametrize("steps, cells", SOLVE_SIZES)
+def test_the_mass_series_is_the_births_convolved_with_survival(monkeypatch, steps, cells):
+    small_blocks(monkeypatch)
+    survival, kernel = renewal_tables(cells)
+    births, d, p = solve_at_small_blocks(survival, kernel, steps)
+    np.testing.assert_array_equal(births, np.append(0.0, 1.2 * d[:-1]))
+    renewal = renewal_source(steps) + np.convolve(births, kernel)[:steps + 1]
+    for got, want in ((d, renewal), (p, np.convolve(births, survival)[:steps + 1])):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(got == 0, want == 0)
+        assert (want == 0).any() and (want > 0).any()
 
 
 @pytest.mark.parametrize("family", CLOSED_FORM_RATES)

@@ -41,7 +41,12 @@ slab takes a superblock's windows in one product, then the superblock's own bloc
 time, and each later slab, which reaches only newborns made SLAB steps before, the windows
 of a whole epoch of SLAB steps in one.  P then takes the finished births through the same
 products with panels of L, and the lags inside every block in one product for all blocks.
-Only lags that can reach a nonzero newborn are multiplied.  K, L, b and every matrix are
+A block at step n reads b_{n-t} at lag t, and b_k = 0 for k <= 0, so no product reads a lag
+at or past the step of its last block: blocks whose lags run past their own step go in
+groups of GROUP, each multiplying only the lags below its last block's step
+(`_add_history`).  One waste is kept: the superblock product of the births reads that
+superblock's own newborns as 0, before they are made, and its blocks then add them one at a
+time; leaving them out would cost a product per block.  K, L, b and every matrix are
 nonnegative, so every sum is of nonnegative terms and each output is accurate relative to
 itself: births that are exactly 0 before the first division stay exactly 0.  An FFT
 convolution would be O(N log N) but its error is absolute, relative to the largest term, and
@@ -91,6 +96,7 @@ HAZARD_TOL = 1e-6  # imt_experiment: largest hazard at t0 that counts as no divi
 BLOCK = 32  # steps the renewal solve takes in one exact block product
 SUPERBLOCK = 32  # blocks whose near-slab history windows one panel product takes
 SLAB = 4096  # age cells per panel slab, and steps per epoch: scratch stays near 8 MB
+GROUP = 8  # blocks per history product where a product's lags run past its blocks' steps
 # An epoch is whole superblocks, so it starts where a superblock does, and every newborn
 # that a far slab (lags >= SLAB) reads over the whole epoch is then final
 assert SLAB % (BLOCK * SUPERBLOCK) == 0, "SLAB must be a multiple of BLOCK * SUPERBLOCK"
@@ -267,16 +273,18 @@ def _solve(survival, kernel, c: float, steps: int, source: np.ndarray, near: np.
 
     P never feeds back, so the loop solves d alone, BLOCK steps at a time: a block's d is its
     history sums of K, plus the source (added before the loop), times (I - c*T0)^-1.  The
-    sums come from Hankel panels of K, BLOCK rows and SLAB lags each.  A far panel, of lags
-    >= SLAB, is built once per epoch of SLAB steps and multiplied at its start with the
-    windows of all its blocks, whose newborns are then final.  The near panel, of lags < SLAB,
-    is multiplied at the start of each superblock of SUPERBLOCK blocks with the windows of all
-    its blocks, its own newborns still 0, and then with those newborns, one block at a time.
-    Only lags that can reach a newborn are multiplied: the near panel's up to the end of the
-    superblock, and each far slab's up to the end of the epoch.  P then takes the finished
-    newborns through the same products with panels of L, the near one a superblock at a time,
-    and the lags inside each block in one product for all blocks.  near is given, as
-    _panel(K, 0, min(SLAB, survival.size)) stacked on _panel(L, ...).
+    sums come from Hankel panels of K, BLOCK rows and SLAB lags each (`_add_history`).  A far
+    panel, of lags >= SLAB, is built once per epoch of SLAB steps and multiplied at its start
+    with the windows of all its blocks, whose newborns are then final.  The near panel, of
+    lags < SLAB, is multiplied at the start of each superblock of SUPERBLOCK blocks with the
+    windows of all its blocks, its own newborns still 0, and then with those newborns, one
+    block at a time.  P then takes the finished newborns through the same products with
+    panels of L, the near one a superblock at a time, and the lags inside each block in one
+    product for all blocks.  No product reads a lag at or past its last block's step
+    (`_add_history`), but the superblock product of d reads the superblock's own newborns
+    as 0 before they are made, the one waste kept: leaving them out would cost a product per
+    block.  near is given, as _panel(K, 0, min(SLAB, survival.size)) stacked on
+    _panel(L, ...).
     """
     n_cells, base = survival.size, steps + 1
     # w[BLOCK + base - n + j] = b_{n-j}: the head takes the newborns the last block makes
@@ -295,47 +303,73 @@ def _solve(survival, kernel, c: float, steps: int, source: np.ndarray, near: np.
     # a fresh array this large costs its page faults anew
     span = min(blocks, SLAB // BLOCK) * width
     scratch = np.empty(span + BLOCK * min(SLAB, max(n_cells - SLAB, 0)))
-    tops = range(0, base, BLOCK * SUPERBLOCK)
 
-    def add_history(out, top: int, length: int, lo: int, hi: int, panel: np.ndarray):
-        # the blocks of steps [top, top + length): their windows of lags [lo, hi), the
-        # last block's first, times the panel of those lags, into their rows of out
-        count = len(range(top, min(top + length, base), BLOCK))
-        rows = scratch[:count * (hi - lo)].reshape(count, hi - lo)
-        last = BLOCK + base - top - BLOCK * (count - 1) + lo
-        rows[:] = windows[last:last + BLOCK * count:BLOCK, :hi - lo]
-        out[top // BLOCK:top // BLOCK + count][::-1] += rows @ panel.T
+    def window_rows(first: int, end: int, lo: int, lags: int) -> np.ndarray:
+        # the windows b_{n-t}, t in [lo, lo + lags), of the blocks first..end-1, the last
+        # block's first, copied into the scratch for BLAS
+        rows = scratch[:(end - first) * lags].reshape(end - first, lags)
+        last = BLOCK + base - BLOCK * (end - 1) + lo
+        rows[:] = windows[last:last + BLOCK * (end - first):BLOCK, :lags]
+        return rows
 
-    def add_far(out, top: int, series: np.ndarray):
+    def add_far(out, first: int, series: np.ndarray):
         # an epoch's far slabs: they read only newborns made before it
+        end = min(first + SLAB // BLOCK, blocks)
         for lo, hi in far:
-            hi = min(hi, top + SLAB)
+            hi = min(hi, BLOCK * (end - 1))  # lags past the epoch's last step reach no newborn
             if lo < hi:
-                add_history(out, top, SLAB, lo, hi, _panel(series, lo, hi, scratch[span:]))
+                _add_history(out, first, end, lo, _panel(series, lo, hi, scratch[span:]),
+                             window_rows)
 
     k_near, l_near = near[:BLOCK], near[BLOCK:]
-    for top in tops:
-        if top % SLAB == 0:
-            add_far(d, top, kernel)
-        if top:  # else the superblock's windows hold no newborn yet
-            cols = min(width, top + BLOCK * SUPERBLOCK)
-            add_history(d, top, BLOCK * SUPERBLOCK, 0, cols, k_near[:, :cols])
-        for n0 in range(top, min(top + BLOCK * SUPERBLOCK, base), BLOCK):
-            lo = BLOCK + base - n0
-            sums = d[n0 // BLOCK]
-            done = min(n0 - top, width)  # the superblock's newborns so far
+    firsts = range(0, blocks, SUPERBLOCK)
+    for first in firsts:
+        if first % (SLAB // BLOCK) == 0:
+            add_far(d, first, kernel)
+        end = min(first + SUPERBLOCK, blocks)
+        if first:  # else the superblock's windows hold no newborn yet
+            _add_history(d, first, end, 0, k_near, window_rows)
+        for g in range(first, end):
+            lo = BLOCK + base - BLOCK * g
+            sums = d[g]
+            done = min(BLOCK * (g - first), width)  # the superblock's newborns so far
             if done:
                 sums += k_near[:, :done] @ w[lo:lo + done]
             sums[:] = solve @ sums
             w[lo - BLOCK:lo] = c * sums[::-1]
     # row g: the newborns b_{g*BLOCK + 1..}, which block g makes
     p = w[BLOCK + base - blocks * BLOCK:BLOCK + base][::-1].reshape(blocks, BLOCK) @ l_lag.T
-    for top in tops:
-        if top % SLAB == 0:
-            add_far(p, top, survival)
-        cols = min(width, top + BLOCK * SUPERBLOCK)
-        add_history(p, top, BLOCK * SUPERBLOCK, 0, cols, l_near[:, :cols])
+    for first in firsts:
+        if first % (SLAB // BLOCK) == 0:
+            add_far(p, first, survival)
+        _add_history(p, first, min(first + SUPERBLOCK, blocks), 0, l_near, window_rows)
     return w[BLOCK:BLOCK + base + n_cells], d.ravel()[:base], p.ravel()[:base]
+
+
+def _add_history(out, first: int, end: int, lo: int, panel: np.ndarray, window_rows):
+    """Add to rows first..end-1 of out, row g the block of steps n = BLOCK*g.., the history
+    sums of lags [lo, lo + panel width): the window b_{n-t} of each row times the panel.
+
+    b_k is 0 for k <= 0, so only lags t < n reach a newborn: the blocks whose step is past
+    the lags take them all in one product, and the others go GROUP at a time, each group's
+    lags cut at its last block's step.  window_rows(first, end, lo, lags) copies the
+    windows (`_solve`).
+    """
+    hi = min(lo + panel.shape[1], BLOCK * (end - 1))
+    split = max(first, -(-hi // BLOCK))  # blocks from here on have steps >= hi
+    if lo < hi:
+        _history_product(out, split, end, lo, panel[:, :hi - lo], window_rows)
+    for group in range(first, split, GROUP):
+        stop = min(group + GROUP, split)
+        cap = BLOCK * (stop - 1)
+        if lo < cap:
+            _history_product(out, group, stop, lo, panel[:, :cap - lo], window_rows)
+
+
+def _history_product(out, first: int, end: int, lo: int, panel: np.ndarray, window_rows):
+    """One BLAS product of `_add_history`: rows first..end-1 of out, lags [lo, lo + panel
+    width)."""
+    out[first:end][::-1] += window_rows(first, end, lo, panel.shape[1]) @ panel.T
 
 
 def _panel(series, lo: int, hi: int, out=None) -> np.ndarray:
@@ -437,31 +471,56 @@ def _custom_start(cells: _CellGrid, init: CustomProfile, steps: int) -> _CustomS
     K_{j+n} b_j and L_{j+n} b_j over the segments, directly: of nonnegative terms, 0 stays 0."""
     segments = _anchors(cells, _start_masses(init, cells))
     series = np.zeros((3, cells.dh.size))
-    for _, survival, kernel, newborns in segments:
-        span, count = survival.size, min(survival.size, steps + 1)
-        series[:2, :count] += _correlate(np.stack((kernel, survival)), newborns, count)
+    if segments:
+        count = min(cells.dh.size, steps + 1)
+        series[:2, :count] = _correlate(segments, count)
+    for _, survival, _, newborns in segments:
         # cell J - 1 holds L_{span-1} * b_{span-1-n}
+        span = survival.size
         series[2, span - newborns.size:span] += survival[-1] * newborns[::-1]
     return _CustomStart(segments, series)
 
 
-def _correlate(tables: np.ndarray, newborns: np.ndarray, count: int) -> np.ndarray:
-    """x[r, n] = sum_k tables[r, n+k] b_k for n < count, the tables 0 past their end, taken for
-    n = BLOCK*g + i as sum_u tables[r, BLOCK*g + u] b_{u-i}: windows of the tables, BLOCK
-    apart, times the Toeplitz panel b_{u-i}, a SLAB of u and of rows at a time."""
-    blocks, width = -(-count // BLOCK), newborns.size + BLOCK - 1
-    padded = np.hstack((tables, np.zeros((len(tables), BLOCK * blocks + width + SLAB))))
-    windows = sliding_window_view(padded, SLAB, axis=1)[:, ::BLOCK]  # row g: from BLOCK*g
-    padded_b = np.concatenate((np.zeros(BLOCK - 1), newborns, np.zeros(BLOCK - 1)))
-    out = np.zeros((len(tables), blocks, BLOCK))
-    for u in range(0, width, SLAB):
-        panel = padded_b[np.arange(u, min(u + SLAB, width))[:, None] + np.arange(BLOCK)[::-1]]
+def _correlate(segments: list, count: int) -> np.ndarray:
+    """x[r, n] = sum over the `_anchors` segments of sum_k T[r, n+k] b_k, for n < count: T the
+    segment's K and L, 0 past their end, and b its virtual newborns.
+
+    For n = BLOCK*g + i that is sum_u T[r, BLOCK*g + u] b_{u-i}: windows of T, BLOCK apart,
+    times the Toeplitz panel b_{u-i}, u < b.size + BLOCK - 1.  Each b is cut into pieces of
+    at most SLAB - BLOCK + 1 cells, and the columns u of consecutive pieces go side by side,
+    up to a SLAB of them, so that one product sums over them all, a SLAB of rows at a time.
+    """
+    blocks, most = -(-count // BLOCK), SLAB - BLOCK + 1
+    # each segment's K and L as far as its windows read, then 0
+    reach = [newborns.size + BLOCK * blocks for *_, newborns in segments]
+    heads = np.cumsum([0] + reach)
+    tables = np.zeros((2, heads[-1] + SLAB))
+    pieces = []  # (the table entry its windows start at, its columns u) of each piece
+    # each piece's b after BLOCK - 1 zeros: row u of its panel, b_{u-i}, is the next row of
+    # the slide
+    parts = [np.zeros(BLOCK - 1)]
+    for (_, survival, kernel, newborns), head, size in zip(segments, heads, reach):
+        size = min(size, survival.size)
+        tables[0, head:head + size], tables[1, head:head + size] = kernel[:size], survival[:size]
+        for o in range(0, newborns.size, most):
+            pieces.append((head + o, min(most, newborns.size - o) + BLOCK - 1))
+            parts += [newborns[o:o + most], parts[0]]
+    slide = sliding_window_view(np.concatenate(parts), BLOCK)[:, ::-1]
+    columns = np.cumsum([0] + [width for _, width in pieces])
+    windows = sliding_window_view(tables, SLAB, axis=1)
+    out = np.zeros((2, blocks * BLOCK))
+    first = 0
+    while first < len(pieces):  # the pieces whose columns fill one product
+        last = np.searchsorted(columns, columns[first] + SLAB, "right") - 1
+        panel = np.ascontiguousarray(slide[columns[first]:columns[last]])
         for g in range(0, blocks, SLAB // BLOCK):
-            rows = out[:, g:g + SLAB // BLOCK]
-            part = windows[:, u // BLOCK + g:][:, :rows.shape[1], :len(panel)]
-            # reshape copies the overlapping windows into rows a BLAS product takes
-            rows += (part.reshape(-1, len(panel)) @ panel).reshape(rows.shape)
-    return out.reshape(len(tables), -1)[:, :count]
+            rows = min(SLAB // BLOCK, blocks - g)
+            part = np.concatenate([windows[:, head + BLOCK * g::BLOCK][:, :rows, :width]
+                                   for head, width in pieces[first:last]], axis=2)
+            out[:, BLOCK * g:BLOCK * (g + rows)] += (
+                part.reshape(2 * rows, -1) @ panel).reshape(2, -1)
+        first = last
+    return out[:, :count]
 
 
 def _scaled_survival(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -451,8 +451,8 @@ SMALL_BLOCKS = ("more-steps-than-cells", "steps-not-a-block-multiple", "steep-de
 
 def small_blocks(monkeypatch, slab=32):
     # nested as the module asks (SLAB a multiple of BLOCK * SUPERBLOCK), small enough
-    # that a run crosses tens of slabs, epochs and superblocks
-    for constant, value in (("BLOCK", 4), ("SUPERBLOCK", 4), ("SLAB", slab)):
+    # that a run crosses tens of slabs, epochs, superblocks and groups
+    for constant, value in (("BLOCK", 4), ("SUPERBLOCK", 4), ("SLAB", slab), ("GROUP", 2)):
         monkeypatch.setattr(simulator, constant, value)
     # a plan's near panel has these sizes: it must be neither read from nor left to the cache
     monkeypatch.setattr(simulator, "_plan", simulator._plan.__wrapped__)
@@ -492,6 +492,44 @@ def renewal_tables(cells):
 # steps + 1 below one block, not a multiple of BLOCK, and more than 2 * SLAB; fewer cells
 # than one slab and more than two
 SOLVE_SIZES = [(steps, cells) for steps in (2, 49, 100) for cells in (20, 75)]
+
+
+# SOLVE_SIZES, and runs across many epochs or many far slabs
+@pytest.mark.parametrize("slab", (32, 16))
+@pytest.mark.parametrize("steps, cells", SOLVE_SIZES + [(300, 120), (130, 300)])
+def test_no_history_product_reads_a_lag_at_or_past_its_last_blocks_step(monkeypatch, steps,
+                                                                         cells, slab):
+    # a block at step n reads b_{n-t}, and b_k = 0 for k <= 0: only lags t < n reach a newborn
+    small_blocks(monkeypatch, slab)
+    block, group = simulator.BLOCK, simulator.GROUP
+    calls, products = [], []
+    add_history, product = simulator._add_history, simulator._history_product
+
+    def recorded_add_history(out, first, *args):
+        calls.append((out, first))
+        return add_history(out, first, *args)
+
+    def recorded_product(out, first, end, lo, panel, window_rows):
+        products.append((*calls[-1], first, end, lo, lo + panel.shape[1]))
+        return product(out, first, end, lo, panel, window_rows)
+
+    monkeypatch.setattr(simulator, "_add_history", recorded_add_history)
+    monkeypatch.setattr(simulator, "_history_product", recorded_product)
+    solve_at_small_blocks(*renewal_tables(cells), steps)
+    # the P pass starts at block 0, where the d pass has no newborn to read
+    p = next((out for out, first in calls if first == 0), None)
+    for out, at, first, end, lo, hi in products:
+        last = block * (end - 1)  # the step of the product's last block
+        assert lo < hi <= last
+        if end - first > group:  # no block of it reads a lag at or past its own step
+            assert hi <= block * first
+        if out is not p and lo > 0:
+            # a far slab of the d pass reads only newborns made before the epoch at block
+            # `at`; its near product, lo = 0, reads the superblock's own newborns before
+            # they are made, the one waste kept
+            assert last - lo <= block * at
+    macs = sum(block * (end - first) * (hi - lo) for *_, first, end, lo, hi in products)
+    assert macs <= 1.05 * 2 * sum(min(n, cells) for n in range(steps + 1))  # the convolutions
 
 
 @pytest.mark.parametrize("steps, cells", SOLVE_SIZES)
